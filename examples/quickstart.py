@@ -33,10 +33,11 @@ updating ads refreshes cached answers by itself — no manual
 ``invalidate_cache`` call is required after mutations (the method
 survives as an override).  Range/BETWEEN predicates are answered by
 ordered column windows under a selectivity-adaptive planner (the
-explain trace shows which access path each leaf took).  See
-``PERFORMANCE.md`` for the algorithms and knobs, including
-``AnswerOptions(top_k=...)`` to bound the ranked pool with the
-columnar top-k engine.
+explain trace shows which access path each leaf took).  The ranked
+pool behind each result is lazy: a question orders and builds only the
+answers it presents, and ``page`` orders and builds deeper answers on
+first read, so the full ranking stays reachable at no up-front cost.
+See ``PERFORMANCE.md`` for the algorithms and knobs.
 
 Run:  python examples/quickstart.py
 """
@@ -137,7 +138,8 @@ def main() -> None:
         print(f"   stage {entry.describe()}")
 
     # Cursor pagination: walk the FULL ranking (past the 30-answer cap)
-    # without re-running or re-ranking anything.
+    # without re-running anything; each page orders and builds only
+    # its own window of the lazy ranked pool.
     broad = service.ask("honda", domain="cars")
     print("=" * 72)
     print(f"Q: honda — capped at {len(broad.answers)} answers, "

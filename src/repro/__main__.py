@@ -363,7 +363,8 @@ def build_stats_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "smoke mode: assert the Prometheus export parses and the "
-            "core metric families (cache hit/miss, stage latencies, "
+            "core metric families (cache hit/miss, stage and relax "
+            "sub-stage latencies, "
             "serve counters, WAL ops) are non-zero; exit 1 otherwise"
         ),
     )
@@ -486,6 +487,9 @@ def _check_stats_export(rendered: str, sharded: bool = False) -> list[str]:
             failures.append(f"cache family {family!r} recorded no lookups")
     if total("repro_stage_seconds_count") <= 0:
         failures.append("no pipeline stage latencies recorded")
+    for stage in ("rank.score", "rank.select", "rank.materialize"):
+        if total("repro_stage_seconds_count", stage=stage) <= 0:
+            failures.append(f"relax sub-stage {stage!r} recorded no latency")
     if total("repro_serve_requests_total", outcome="completed") <= 0:
         failures.append("serve tier recorded no completed requests")
     if total("repro_wal_ops_total") <= 0:

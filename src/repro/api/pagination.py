@@ -1,12 +1,14 @@
 """Cursor-style pagination over a question's full ranking.
 
 The paper caps the presented list at 30 answers (Section 4.3.1), but
-the pipeline computes the full ranking anyway — exact matches in
-evaluation order followed by every Rank_Sim-scored partial candidate,
-kept on ``QuestionResult.ranked_pool``.  :func:`page_result` slices
-that ranking, so walking past the cap costs nothing: no re-execution,
-no re-ranking, and the ordering is stable because the pool is computed
-exactly once.
+``QuestionResult.ranked_pool`` keeps the whole ranking reachable —
+exact matches in evaluation order followed by every Rank_Sim-scored
+partial candidate — as a lazy :class:`~repro.ranking.pool.RankedPool`:
+the pipeline orders and builds only the presented head, and entries
+past it are ordered and built on first read, then memoized.
+:func:`page_result` slices that pool, so walking past the cap costs
+only the window read: no re-execution, no re-scoring, and the ordering
+is stable because the pool is scored exactly once.
 """
 
 from __future__ import annotations
@@ -59,5 +61,5 @@ def page_result(
         # limit=0 would make next_offset == offset: an infinite cursor.
         raise ValueError(f"limit must be positive, got {limit}")
     pool = result.ranked_pool if result.ranked_pool else result.answers
-    window = tuple(pool[offset : offset + limit])
+    window = tuple(pool[offset : offset + limit])  # builds only the window
     return AnswerPage(answers=window, offset=offset, limit=limit, total=len(pool))

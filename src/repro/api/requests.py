@@ -49,15 +49,14 @@ class AnswerOptions:
         engine, or ``3 * max_answers`` when ``max_answers`` itself is
         overridden (the engine's own widening rule).
     top_k:
-        Bound on the *ranked* partial pool: the columnar ranking
-        engine then selects the best ``top_k`` with a bounded heap
-        instead of sorting every candidate.  The bounded result is
-        identical to the full ranking truncated (ties included), so
-        set it to the presentation cap plus the cursor window you
-        intend to page through (e.g. ``30 + 60``); ``ranked_pool`` —
-        and therefore pagination — stops at ``top_k`` entries.  When
-        unset it follows the engine's ``ranking_top_k`` (default:
-        unbounded, preserving full pagination).
+        Bound on the *ranked* partial pool: ``ranked_pool`` — and
+        therefore pagination — stops after ``top_k`` partial entries,
+        identical to the full ranking truncated (ties included).  The
+        pool is lazy either way (only what is read gets ordered and
+        built), so the bound saves no ranking work; it only caps what
+        a reader can reach.  When unset it follows the engine's
+        ``ranking_top_k`` (default: unbounded, preserving full
+        pagination).
     explain:
         Attach a per-stage :class:`~repro.api.stages.StageTrace` list to
         the result (timings are always recorded; the trace adds

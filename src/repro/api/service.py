@@ -9,7 +9,8 @@ calls:
   thread pool, results in input order, duplicate requests answered
   once (the pipeline is read-only, so sharing results is safe);
 * :meth:`AnswerService.page` — cursor pagination over a result's full
-  ranking, past the paper's 30-answer cap, without re-ranking.
+  ranking, past the paper's 30-answer cap, without re-ranking (the
+  ranked pool orders and builds deeper entries on first read).
 
 With a :class:`~repro.perf.answer_cache.AnswerCache` attached
 (``SystemBuilder().answer_cache(...)`` or the ``cache`` constructor
@@ -353,29 +354,21 @@ class AnswerService:
         """A window into a full ranking (see ``page_result``).
 
         *source* may be an already-computed :class:`QuestionResult`
-        (sliced as before, no recomputation), or a request / bare
-        question.  A request is answered with ``top_k`` bounded to
-        ``offset + limit + 1`` — deep pages then cost a bounded-heap
-        selection over the candidate pool instead of a full re-sort,
-        and the ``+ 1`` sentinel keeps ``has_more``/``next_offset``
-        exact at the requested depth.  A request that already sets
-        ``options.top_k`` is honoured as-is.  Bounded pages report the
-        bounded pool as ``total``, so ``total`` is a floor rather than
-        the full ranking size (the cursor semantics — ``has_more`` and
-        ``next_offset`` — stay correct).
+        (sliced, no recomputation), or a request / bare question, which
+        is answered through :meth:`answer` — sharing its answer-cache
+        entry — and then sliced.  Either way only the window's entries
+        are ordered past the presented head and built (the ranked pool
+        is lazy), and ``total`` is the full ranking size.
         """
         if self._closed:
             raise ServiceClosedError("AnswerService")
-        if isinstance(source, QuestionResult):
-            return page_result(source, offset=offset, limit=limit)
-        if offset < 0:
-            raise ValueError(f"offset must be non-negative, got {offset}")
-        if limit <= 0:
-            raise ValueError(f"limit must be positive, got {limit}")
-        request = AnswerRequest.of(source)
-        if request.options.top_k is None:
-            request = request.with_options(top_k=offset + limit + 1)
-        return page_result(self.answer(request), offset=offset, limit=limit)
+        if not isinstance(source, QuestionResult):
+            if offset < 0:
+                raise ValueError(f"offset must be non-negative, got {offset}")
+            if limit <= 0:
+                raise ValueError(f"limit must be positive, got {limit}")
+            source = self.answer(AnswerRequest.of(source))
+        return page_result(source, offset=offset, limit=limit)
 
     def page_all(
         self,
@@ -385,34 +378,30 @@ class AnswerService:
     ) -> Sequence[AnswerPage]:
         """Every page of a result, in order (convenience for exports).
 
-        With a request / bare question as *source*, the question is
-        answered once and paged; ``max_depth`` (or the request's own
-        ``options.top_k``) bounds the ranked pool so the export pays a
-        bounded-heap selection instead of sorting every candidate —
-        the product-capped-pagination mode.  Without either bound the
-        full ranking is computed, preserving complete exports.  On an
-        already-computed result ``max_depth`` cannot save the ranking
-        work, but it still caps the export to the same window the
-        request path would serve (exact matches plus ``max_depth``
-        ranked partials).
+        A request / bare question as *source* is answered once (through
+        :meth:`answer`) and paged.  ``max_depth`` caps the export to the
+        exact matches plus that many ranked partials; the ranked pool is
+        lazy, so the entries past the cap are never ordered or built.
         """
         if page_size <= 0:
             raise ValueError(f"page_size must be positive, got {page_size}")
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be positive, got {max_depth}")
-        if isinstance(source, QuestionResult):
-            result = source
-            if max_depth is not None:
-                pool = result.ranked_pool if result.ranked_pool else result.answers
-                exact_count = sum(1 for answer in pool if answer.exact)
-                result = replace(
-                    result, ranked_pool=list(pool[: exact_count + max_depth])
-                )
-        else:
-            request = AnswerRequest.of(source)
-            if max_depth is not None and request.options.top_k is None:
-                request = request.with_options(top_k=max_depth)
-            result = self.answer(request)
+        result = (
+            source
+            if isinstance(source, QuestionResult)
+            else self.answer(AnswerRequest.of(source))
+        )
+        if max_depth is not None:
+            pool = result.ranked_pool if result.ranked_pool else result.answers
+            # Exacts lead the pool: count them by index, so only the
+            # exported prefix is ever built.
+            exact_count = 0
+            while exact_count < len(pool) and pool[exact_count].exact:
+                exact_count += 1
+            result = replace(
+                result, ranked_pool=list(pool[: exact_count + max_depth])
+            )
         pages: list[AnswerPage] = []
         offset = 0
         while True:

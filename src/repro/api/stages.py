@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.db.sql.executor import SQLExecutor
+from repro.db.table import Record
 from repro.errors import ContradictionError
 from repro.obs import observe_stage, span
 from repro.qa.boolean_rules import build_interpretation
@@ -42,6 +43,7 @@ from repro.qa.conditions import Interpretation
 from repro.qa.pipeline import Answer, CQAds, QuestionResult
 from repro.qa.sql_generation import evaluate_interpretation, generate_sql
 from repro.qa.tagger import TaggedQuestion
+from repro.ranking.pool import RankedPool
 
 from repro.api.requests import AnswerRequest, ResolvedOptions
 
@@ -78,8 +80,8 @@ class StageContext:
     tagged: TaggedQuestion | None = None
     interpretation: Interpretation | None = None
     sql: str = ""
-    exact: list[Answer] = field(default_factory=list)
-    partial: list[Answer] = field(default_factory=list)
+    exact_records: list[Record] = field(default_factory=list)
+    partial: Sequence[Answer] = field(default_factory=list)
     message: str | None = None
     finished: bool = False
     timings: dict[str, float] = field(default_factory=dict)
@@ -183,8 +185,10 @@ class ExecuteStage:
 
     Exact matches are retrieved *uncapped* (the evaluation order makes
     the first ``max_answers`` identical to a capped run) so the full
-    list can back pagination; the rendered SQL keeps the legacy
-    ``LIMIT max_answers`` the paper's interface shows the user.
+    list can back pagination; they are wrapped as ``Answer`` objects
+    only when read (see :meth:`QueryPipeline._assemble`).  The rendered
+    SQL keeps the legacy ``LIMIT max_answers`` the paper's interface
+    shows the user.
     """
 
     name = "execute"
@@ -224,12 +228,9 @@ class ExecuteStage:
                         path=decision.path,
                         rows=decision.rows,
                     )
-        ctx.exact = [
-            Answer(record=record, exact=True, score=float("inf"), similarity_kind="exact")
-            for record in records
-        ]
+        ctx.exact_records = records
         return (
-            f"{len(ctx.exact)} exact matches; "
+            f"{len(records)} exact matches; "
             f"access paths: {executor.plan_summary()}"
         )
 
@@ -238,8 +239,9 @@ class RelaxStage:
     """Section 4.3.1: N-1 relaxation and Eq. 5 Rank_Sim ordering.
 
     Runs only when relaxation is enabled and the exact matches do not
-    already fill the answer cap; produces the full scored candidate
-    list (capping happens when the result is assembled).
+    already fill the answer cap; produces the scored candidate pool,
+    ordered and built lazily (capping happens when the result is
+    assembled).
     """
 
     name = "relax"
@@ -250,9 +252,9 @@ class RelaxStage:
             return "disabled"
         if ctx.interpretation is None or ctx.interpretation.tree is None:
             return "nothing to relax"
-        if len(ctx.exact) >= ctx.options.max_answers:
+        if len(ctx.exact_records) >= ctx.options.max_answers:
             return "answer cap already filled by exact matches"
-        exclude = {answer.record.record_id for answer in ctx.exact}
+        exclude = {record.record_id for record in ctx.exact_records}
         ctx.partial = ctx.engine.partial_answers(
             ctx.domain,
             ctx.interpretation,
@@ -346,10 +348,24 @@ class QueryPipeline:
     def _assemble(
         ctx: StageContext, trace: list[StageTrace] | None
     ) -> QuestionResult:
-        pool: list[Answer] = []
+        pool: Sequence[Answer] = []
         answers: list[Answer] = []
         if not ctx.finished:
-            pool = list(ctx.exact) + list(ctx.partial)
+            exact = ctx.exact_records
+            partial = ctx.partial
+            if not isinstance(partial, RankedPool):
+                partial = RankedPool.of(partial)  # a custom stage's list
+            # Exact matches lead in evaluation order, wrapped on read;
+            # only the presented head is ordered and built here.
+            pool = partial.after(
+                len(exact),
+                lambda index: Answer(
+                    record=exact[index],
+                    exact=True,
+                    score=float("inf"),
+                    similarity_kind="exact",
+                ),
+            )
             answers = pool[: ctx.options.max_answers]
         message = ctx.message
         if message is None and not answers:

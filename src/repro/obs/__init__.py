@@ -39,6 +39,7 @@ from .hooks import (
     observe_stage,
     record_recovery_damage,
     record_recovery_timings,
+    stage_timer,
     wal_op,
 )
 from .registry import (
@@ -85,6 +86,7 @@ __all__ = [
     "render_prometheus",
     "set_default_registry",
     "span",
+    "stage_timer",
     "wal_op",
 ]
 

@@ -17,7 +17,10 @@ name                            type         labels
 repro_cache_requests_total      counter      cache ∈ {answer, fragment,
                                              plan, window, singleflight},
                                              outcome ∈ {hit, miss}
-repro_stage_seconds             histogram    stage (pipeline stage name)
+repro_stage_seconds             histogram    stage (pipeline stage name,
+                                             or a relax sub-stage:
+                                             rank.score, rank.select,
+                                             rank.materialize)
 repro_wal_ops_total             counter      op ∈ {append, fsync,
                                              snapshot}
 repro_wal_op_seconds            histogram    op (same values)
@@ -57,6 +60,7 @@ __all__ = [
     "record_recovery_timings",
     "register_shard_rows_gauge",
     "shard_scatter_observe",
+    "stage_timer",
     "wal_op",
 ]
 
@@ -95,37 +99,48 @@ def observe_stage(stage: str, seconds: float) -> None:
     ).observe(seconds)
 
 
-class _WalOpTimer:
-    """Times a WAL operation into counter + histogram (+ child span)."""
+class _Timer:
+    """Times one operation into *observe* (+ a child span when traced)."""
 
-    __slots__ = ("_op", "_attrs", "_start", "_span_cm")
+    __slots__ = ("_name", "_attrs", "_observe", "_start", "_span_cm")
 
-    def __init__(self, op: str, attrs: dict) -> None:
-        self._op = op
+    def __init__(self, name: str, attrs: dict, observe) -> None:
+        self._name = name
         self._attrs = attrs
+        self._observe = observe
         self._start = 0.0
         self._span_cm = None
 
     def __enter__(self):
         if _CURRENT_SPAN.get() is not None:
-            self._span_cm = span(f"wal.{self._op}", **self._attrs)
+            self._span_cm = span(self._name, **self._attrs)
             self._span_cm.__enter__()
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        elapsed = time.perf_counter() - self._start
-        registry = get_default_registry()
-        registry.counter("repro_wal_ops_total", op=self._op).value += 1
-        registry.histogram("repro_wal_op_seconds", op=self._op).observe(elapsed)
+        self._observe(time.perf_counter() - self._start)
         if self._span_cm is not None:
             self._span_cm.__exit__(exc_type, exc, tb)
         return False
 
 
-def wal_op(op: str, **attrs) -> _WalOpTimer:
-    """Context manager timing one WAL append/fsync/snapshot operation."""
-    return _WalOpTimer(op, attrs)
+def stage_timer(stage: str, **attrs) -> _Timer:
+    """Context manager timing one sub-stage (span *stage* + its
+    ``repro_stage_seconds`` histogram) — e.g. ``rank.score``."""
+    return _Timer(stage, attrs, lambda seconds: observe_stage(stage, seconds))
+
+
+def wal_op(op: str, **attrs) -> _Timer:
+    """Context manager timing one WAL append/fsync/snapshot operation
+    into counter + histogram (+ child span)."""
+
+    def observe(seconds: float) -> None:
+        registry = get_default_registry()
+        registry.counter("repro_wal_ops_total", op=op).value += 1
+        registry.histogram("repro_wal_op_seconds", op=op).observe(seconds)
+
+    return _Timer(f"wal.{op}", attrs, observe)
 
 
 def record_recovery_damage(reason: str) -> None:

@@ -19,10 +19,13 @@ record:
   questions ("make = toyota", "price < 10000") are evaluated once per
   table state.  Scores accumulate slot-by-slot in the legacy addition
   order, so every float is bit-identical to the per-record path.
-* selection is a bounded heap (``heapq.nsmallest`` on the legacy
-  ``(-score, record_id)`` key — documented to equal the full sort
-  truncated), and :class:`~repro.ranking.rank_sim.ScoredRecord`
-  objects are only constructed for the rows actually returned.
+* the scored pool comes back as a
+  :class:`~repro.ranking.pool.RankedPool` over the score and slot
+  arrays: it selects the presentation order on the legacy
+  ``(-score, record_id)`` key with a bounded heap, only as far as it
+  is read (bit-identical to the full sort truncated), and constructs a
+  :class:`~repro.ranking.rank_sim.ScoredRecord` only for the positions
+  actually read.
 
 Parity is structural: satisfaction uses the same comparisons, failure
 similarities call the same ``TIMatrix``/``WSMatrix``/``Num_Sim`` code,
@@ -41,7 +44,6 @@ makes such values unstorable, so the case is unreachable from tables.
 from __future__ import annotations
 
 import bisect
-import heapq
 from typing import Sequence
 
 from repro.db.schema import AttributeType
@@ -54,9 +56,11 @@ from repro.db.table import (
     Table,
     UpdateDelta,
 )
+from repro.obs.hooks import stage_timer
 from repro.perf.window import parse_numeric
 from repro.qa.conditions import Condition, ConditionOp
 from repro.ranking.num_sim import condition_num_sim
+from repro.ranking.pool import RankedPool
 from repro.ranking.rank_sim import (
     Key,
     RankingResources,
@@ -655,50 +659,34 @@ def _score_rows(
     the same floats come out whichever store (whole-table or
     per-shard) the record is scored through.
     """
-    scores = [0.0] * len(rows)
-    slots: _Slots = []
-    for unit in units:
-        if unit.mode == "any" and len(unit.conditions) > 1:
-            sat, contrib = _any_unit_arrays(
-                store, resources, unit, rows, type_i_fp, query_keys
-            )
-            # _supports() guaranteed homogeneous Type III branches, so
-            # the legacy best-kind bookkeeping always lands on Num_Sim.
-            slot_list = [(unit.conditions, "Num_Sim", sat, contrib)]
-        else:
-            slot_list = []
-            for condition in unit.conditions:
-                sat, contrib = _condition_arrays(
-                    store, resources, condition, rows, type_i_fp, query_keys
+    with stage_timer("rank.score", rows=len(rows)):
+        scores = [0.0] * len(rows)
+        slots: _Slots = []
+        for unit in units:
+            if unit.mode == "any" and len(unit.conditions) > 1:
+                sat, contrib = _any_unit_arrays(
+                    store, resources, unit, rows, type_i_fp, query_keys
                 )
-                kind = (
-                    "negation"
-                    if condition.negated
-                    else _KIND_BY_TYPE[condition.attribute_type]
-                )
-                slot_list.append(((condition,), kind, sat, contrib))
-        for conditions, kind, sat, contrib in slot_list:
-            slots.append((conditions, kind, sat))
-            for i, value in enumerate(contrib):
-                scores[i] += value
-    return scores, slots
-
-
-def _select(
-    scores: list[float], record_ids: list[int], top_k: int | None
-) -> list[int]:
-    """Pool indices in the legacy presentation order, bounded by top_k.
-
-    nsmallest on the legacy ``(-score, record_id)`` key is documented
-    as ``sorted(...)[:k]``, ties (equal scores) included.
-    """
-
-    def sort_key(index: int) -> tuple[float, int]:
-        return (-scores[index], record_ids[index])
-
-    if top_k is None:
-        return sorted(range(len(scores)), key=sort_key)
-    return heapq.nsmallest(top_k, range(len(scores)), key=sort_key)
+                # _supports() guaranteed homogeneous Type III branches, so
+                # the legacy best-kind bookkeeping always lands on Num_Sim.
+                slot_list = [(unit.conditions, "Num_Sim", sat, contrib)]
+            else:
+                slot_list = []
+                for condition in unit.conditions:
+                    sat, contrib = _condition_arrays(
+                        store, resources, condition, rows, type_i_fp, query_keys
+                    )
+                    kind = (
+                        "negation"
+                        if condition.negated
+                        else _KIND_BY_TYPE[condition.attribute_type]
+                    )
+                    slot_list.append(((condition,), kind, sat, contrib))
+            for conditions, kind, sat, contrib in slot_list:
+                slots.append((conditions, kind, sat))
+                for i, value in enumerate(contrib):
+                    scores[i] += value
+        return scores, slots
 
 
 def _emit(
@@ -781,17 +769,19 @@ def columnar_rank_units(
     resources: RankingResources,
     records: list[Record],
     units: Sequence[ScoringUnit],
-    top_k: int | None,
-) -> list[ScoredRecord] | None:
+    top_k: int | None = None,
+) -> RankedPool[ScoredRecord] | None:
     """Rank *records* columnar-ly; ``None`` means "use the legacy path".
 
-    Returns exactly what the legacy ``rank_units`` (full sort, then
-    ``[:top_k]``) returns: same records, same float scores, same failed
-    tuples, same kinds, same order.  When the resources' table is a
-    :class:`repro.shard.table.ShardedTable` the work scatters:
-    per-shard column stores score each shard's slice of the pool and
-    per-shard top-k selections merge into the global bounded result
-    (see :func:`sharded_rank_units`).
+    Scores the whole pool, then hands back a lazy
+    :class:`~repro.ranking.pool.RankedPool` over the score and slot
+    arrays: reading it yields exactly what the legacy ``rank_units``
+    (full sort, then ``[:top_k]``) returns — same records, same float
+    scores, same failed tuples, same kinds, same order — while only the
+    positions actually read are ordered and materialized.  When the
+    resources' table is a :class:`repro.shard.table.ShardedTable` the
+    scoring scatters over per-shard column stores (see
+    :func:`sharded_rank_units`).
     """
     table = resources.table
     if table is not None and getattr(table, "shards", None) is not None:
@@ -800,7 +790,7 @@ def columnar_rank_units(
     if store is None:
         return None
     if not records:
-        return []
+        return RankedPool.of([])
     if not _supports(store, units):
         return None
     try:
@@ -812,9 +802,12 @@ def columnar_rank_units(
     scores, slots = _score_rows(
         store, resources, rows, units, type_i_fp, query_keys
     )
-    record_ids = [record.record_id for record in records]
-    order = _select(scores, record_ids, top_k)
-    return [_emit(records[i], scores[i], slots, i) for i in order]
+    return RankedPool(
+        lambda index: _emit(records[index], scores[index], slots, index),
+        scores,
+        [record.record_id for record in records],
+        limit=top_k,
+    )
 
 
 def sharded_rank_units(
@@ -822,18 +815,18 @@ def sharded_rank_units(
     table: Table,
     records: list[Record],
     units: Sequence[ScoringUnit],
-    top_k: int | None,
-) -> list[ScoredRecord] | None:
+    top_k: int | None = None,
+) -> RankedPool[ScoredRecord] | None:
     """Scatter-gather ranking over a sharded table's pool.
 
     The pool partitions by record placement; each shard's slice is
-    scored against that shard's own per-epoch column store and reduced
-    to a local ``top_k`` selection, and the local selections merge on
-    the legacy ``(-score, record_id)`` key into the global bounded
-    result.  The merge is exact: any record in the global top-k is by
-    definition within its own shard's top-k, and the key is a total
-    order (ids are unique), so the merged prefix equals the
-    single-store selection bit-for-bit.
+    scored against that shard's own per-epoch column store, and the
+    per-shard score and slot arrays are gathered into one
+    :class:`~repro.ranking.pool.RankedPool` ordered on the legacy
+    ``(-score, record_id)`` key.  Scores are per-record, so the same
+    floats come out as through the whole-table store, and the key is a
+    total order (ids are unique): the gathered ranking equals the
+    single-store one bit-for-bit.
 
     Shard tasks run through :meth:`ShardedTable.map_shards` — inline on
     a single-core box, fanned out on the facade's dedicated scatter
@@ -855,7 +848,7 @@ def sharded_rank_units(
     below, which therefore stays the parity oracle for every answer.
     """
     if not records:
-        return []
+        return RankedPool.of([])
     pool_getter = getattr(table, "process_pool", None)
     pool = pool_getter() if pool_getter is not None else None
     if pool is not None:
@@ -878,38 +871,44 @@ def sharded_rank_units(
     def score_shard(index: int, _shard: Table):
         group = groups[index]
         if not group:
-            return ()
+            return [], []
         store = stores[index]
         try:
             rows = [store.row_of[record.record_id] for record in group]
         except KeyError:
             return None  # pool record mutated away mid-flight
-        scores, slots = _score_rows(
-            store, resources, rows, units, type_i_fp, query_keys
-        )
-        order = _select(scores, [record.record_id for record in group], top_k)
-        return group, scores, slots, order
+        return _score_rows(store, resources, rows, units, type_i_fp, query_keys)
 
     gathered = table.map_shards(score_shard)
     if any(result is None for result in gathered):
         return None
-    merged: list[tuple[float, int, int, int]] = []
-    for shard_index, result in enumerate(gathered):
-        if not result:
-            continue
-        group, scores, _slots, order = result
-        for local in order:
-            merged.append(
-                (-scores[local], group[local].record_id, shard_index, local)
-            )
-    merged.sort()
-    if top_k is not None:
-        merged = merged[:top_k]
-    results: list[ScoredRecord] = []
-    for _neg_score, _record_id, shard_index, local in merged:
-        group, scores, slots, _order = gathered[shard_index]
-        results.append(_emit(group[local], scores[local], slots, local))
-    return results
+    # One backing over every shard's slice: backing index i belongs to
+    # the last shard whose slice starts at or before i.
+    gathered_records: list[Record] = []
+    scores: list[float] = []
+    starts: list[int] = []
+    shard_slots: list[_Slots] = []
+    for group, (shard_scores, slots) in zip(groups, gathered):
+        starts.append(len(scores))
+        gathered_records.extend(group)
+        scores.extend(shard_scores)
+        shard_slots.append(slots)
+
+    def emit(index: int) -> ScoredRecord:
+        shard = bisect.bisect_right(starts, index) - 1
+        return _emit(
+            gathered_records[index],
+            scores[index],
+            shard_slots[shard],
+            index - starts[shard],
+        )
+
+    return RankedPool(
+        emit,
+        scores,
+        [record.record_id for record in gathered_records],
+        limit=top_k,
+    )
 
 
 def _process_rank(
@@ -922,14 +921,15 @@ def _process_rank(
 ):
     """Scatter the scoring onto the worker-process pool.
 
-    Workers run :func:`_score_rows` / :func:`_select` against their
-    shared-memory shadow stores — the same kernels, the same floats —
-    and ship back per-shard bounded selections as ``(local_index,
-    score, slot_sats)``; the merge key and the emission are identical
-    to the thread path's.  Returns the merged answers, ``"legacy"``
-    when a pool record vanished mid-flight (caller must re-score on
-    the legacy path, matching the thread scatter's contract), or
-    ``None`` for any pool-side miss (caller falls back to threads).
+    Workers run :func:`_score_rows` / :func:`~repro.ranking.pool.select`
+    against their shared-memory shadow stores — the same kernels, the
+    same floats — and ship back per-shard selections (bounded by *top_k*) as
+    ``(local_index, score, slot_sats)``; the gathered rows back one
+    :class:`~repro.ranking.pool.RankedPool` on the same key as the
+    thread path's.  Returns that pool, ``"legacy"`` when a pool record
+    vanished mid-flight (caller must re-score on the legacy path,
+    matching the thread scatter's contract), or ``None`` for any
+    pool-side miss (caller falls back to threads).
     """
     group_ids: list[list[int]] = [[] for _ in table.shards]
     by_id: dict[int, Record] = {}
@@ -943,17 +943,20 @@ def _process_rank(
     if outcome is None or outcome == "legacy":
         return outcome
     specs = _slot_specs(units)
-    merged: list[tuple[float, int, int, float, tuple]] = []
+    record_ids: list[int] = []
+    scores: list[float] = []
+    sats: list[tuple] = []
     for shard_index, selection in enumerate(outcome):
         ids = group_ids[shard_index]
-        for local, score, sats in selection:
-            merged.append((-score, ids[local], shard_index, score, sats))
-    # (-score, record_id) is already a total order (ids are unique),
-    # so the sort never reaches the tail elements.
-    merged.sort(key=lambda entry: (entry[0], entry[1]))
-    if top_k is not None:
-        merged = merged[:top_k]
-    return [
-        _emit_from_sats(by_id[record_id], score, sats, specs)
-        for _neg_score, record_id, _shard_index, score, sats in merged
-    ]
+        for local, score, slot_sats in selection:
+            record_ids.append(ids[local])
+            scores.append(score)
+            sats.append(slot_sats)
+    return RankedPool(
+        lambda index: _emit_from_sats(
+            by_id[record_ids[index]], scores[index], sats[index], specs
+        ),
+        scores,
+        record_ids,
+        limit=top_k,
+    )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.classify.naive_bayes import (
     BetaBinomialNaiveBayes,
@@ -44,9 +44,11 @@ from repro.qa.domain import AdsDomain
 from repro.qa.sql_generation import evaluate_interpretation
 from repro.qa.spelling import Correction
 from repro.qa.tagger import QuestionTagger
+from repro.ranking.pool import RankedPool
 from repro.ranking.rank_sim import (
     RankingResources,
     RankSimRanker,
+    ScoredRecord,
     ScoringUnit,
 )
 
@@ -85,16 +87,30 @@ class Answer:
     similarity_kind: str
 
 
+def _partial_answer(item: ScoredRecord) -> Answer:
+    return Answer(
+        record=item.record,
+        exact=False,
+        score=item.score,
+        similarity_kind=item.similarity_kind,
+    )
+
+
 @dataclass
 class QuestionResult:
     """Everything CQAds produced for one question.
 
     ``answers`` is the capped list the paper presents (at most
     ``max_answers`` entries, exacts first).  ``ranked_pool`` is the full
-    ranking the pipeline computed before capping — exact matches in
-    evaluation order followed by every scored partial candidate — so
+    ranking behind it — exact matches in evaluation order followed by
+    every scored partial candidate — as a read-only
+    :class:`~repro.ranking.pool.RankedPool`: the pipeline orders and
+    builds only the presented head, and deeper entries are ordered and
+    built on first read (then memoized), so
     :meth:`repro.api.service.AnswerService.page` can walk past the
-    30-answer cap without re-running or re-ranking anything.
+    30-answer cap without re-running anything, and a question nobody
+    pages pays for its 30 answers only.  The pool compares equal to the
+    list of its entries and is safe to read from several threads.
 
     ``timings`` maps each executed stage name to its wall-clock seconds;
     ``elapsed_seconds`` (the seed's single number) is derived from it.
@@ -113,7 +129,7 @@ class QuestionResult:
     corrections: list[Correction] = field(default_factory=list)
     message: str | None = None  # "search retrieved no results" etc.
     timings: dict[str, float] = field(default_factory=dict)
-    ranked_pool: list[Answer] = field(default_factory=list)
+    ranked_pool: Sequence[Answer] = field(default_factory=list)
     trace: list["StageTrace"] | None = None
 
     @property
@@ -189,14 +205,15 @@ class CQAds:
         ``"columnar"`` (default) scores partial candidates through the
         per-epoch column store with bounded top-k selection
         (:mod:`repro.perf.colrank`); ``"legacy"`` keeps the per-record
-        scoring and full sort as the parity oracle.  Bit-identical
-        output (``tests/test_ranking_parity.py``).
+        scoring as the parity oracle.  Bit-identical output
+        (``tests/test_ranking_parity.py``).
     ranking_top_k:
-        Default bound on the ranked partial pool (``None`` keeps the
-        full ranking so cursor pagination can walk everything).  A
-        sensible bound is the presentation cap plus the cursor window
-        you expect to serve; per-request ``AnswerOptions.top_k``
-        overrides it.
+        Default bound on the ranked partial pool: ``ranked_pool`` (and
+        so pagination) stops after this many partial entries.  ``None``
+        (the default) keeps the full ranking reachable at no extra cost
+        — the pool is ordered and materialized lazily, so a question
+        only pays for the entries something reads.  Per-request
+        ``AnswerOptions.top_k`` overrides it.
     fragment_cache:
         Cross-question memoization of relaxation-unit id-sets
         (:mod:`repro.perf.fragment_cache`), keyed on each table's
@@ -654,23 +671,22 @@ class CQAds:
         strategy: str | None = None,
         top_k: int | None = None,
         engine: str | None = None,
-    ) -> list[Answer]:
-        """The scored N-1 answer list, best first.
+    ) -> RankedPool[Answer]:
+        """The scored N-1 answers, best first, as a lazy pool.
 
         With ranking resources the pool is ordered by Eq. 5's Rank_Sim;
         without them the N-1 retrieval order (by record id) is kept and
-        answers are marked ``unranked``.  ``top_k`` bounds the ranked
-        list (identical to the full ranking truncated — the columnar
-        engine selects it with a bounded heap instead of sorting
-        everything); ``engine`` overrides the engine's
-        ``ranking_engine`` per call.  Both default to the engine
-        settings, like the other knobs.
+        answers are marked ``unranked``.  Entries are ordered and built
+        on read (:class:`~repro.ranking.pool.RankedPool`).  ``top_k``
+        bounds the pool (identical to the full ranking truncated);
+        ``engine`` overrides the engine's ``ranking_engine`` per call.
+        Both default to the engine settings, like the other knobs.
         """
         context = self.context(domain)
         ranker = context.ranker()
         units = self.relaxation_units(interpretation)
         if len(units) < 1:
-            return []
+            return RankedPool.of([])
         if top_k is None:
             top_k = self.ranking_top_k
         pool = self.partial_candidates(
@@ -682,29 +698,25 @@ class CQAds:
             strategy=strategy,
         )
         if ranker is None:
-            # No similarity resources: preserve N-1 retrieval order by id.
-            pool.sort(key=lambda record: record.record_id)
-            if top_k is not None:
-                pool = pool[:top_k]
-            return [
-                Answer(record=record, exact=False, score=0.0, similarity_kind="unranked")
-                for record in pool
-            ]
+            # No similarity resources: preserve N-1 retrieval order by id
+            # (every score ties at 0.0, so the pool orders by record id).
+            return RankedPool(
+                lambda index: Answer(
+                    record=pool[index],
+                    exact=False,
+                    score=0.0,
+                    similarity_kind="unranked",
+                ),
+                [0.0] * len(pool),
+                [record.record_id for record in pool],
+                limit=top_k,
+            )
         scored = ranker.rank_units(
             pool,
             units,
-            top_k=top_k,
             engine=engine if engine is not None else self.ranking_engine,
         )
-        return [
-            Answer(
-                record=item.record,
-                exact=False,
-                score=item.score,
-                similarity_kind=item.similarity_kind,
-            )
-            for item in scored
-        ]
+        return scored.map(_partial_answer, limit=top_k)
 
     @staticmethod
     def _units_to_interpretation(

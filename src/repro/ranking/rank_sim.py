@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.db.schema import AttributeType
 from repro.db.table import BatchDelta, MutationEvent, Record, Table, UpdateDelta
 from repro.qa.conditions import Condition, ConditionOp
 from repro.ranking.num_sim import condition_num_sim
+from repro.ranking.pool import RankedPool
 from repro.ranking.ti_matrix import TIMatrix
 from repro.ranking.ws_matrix import WSMatrix
 
@@ -489,17 +490,21 @@ class ScoredRecord:
 class RankSimRanker:
     """Scores and orders partially-matched records per Eq. 5.
 
-    Two engines produce bit-identical output
+    Two scoring engines produce bit-identical output
     (``tests/test_ranking_parity.py``):
 
     * ``"columnar"`` (default) — scores through the table's per-epoch
       :class:`~repro.perf.colrank.ColumnStore` (array lookups instead
-      of per-record dict walking) and selects ``top_k`` with a bounded
-      heap instead of sorting the whole pool.  Falls back to the
-      legacy path automatically when no table is attached to the
-      resources or a condition shape is outside the columnar planner.
-    * ``"legacy"`` — the original per-record scoring and full sort,
-      kept as the parity oracle.
+      of per-record dict walking), building a :class:`ScoredRecord`
+      only for the positions read.  Falls back to the legacy path automatically
+      when no table is attached to the resources or a condition shape
+      is outside the columnar planner.
+    * ``"legacy"`` — the original per-record scoring, kept as the
+      parity oracle.
+
+    Either way the ordering is one :class:`~repro.ranking.pool.RankedPool`
+    on the ``(-score, record_id)`` key: a bounded heap for the ranks
+    read, the full sort only when every rank is.
     """
 
     ENGINES = ("columnar", "legacy")
@@ -528,12 +533,25 @@ class RankSimRanker:
         records: list[Record],
         units: list[ScoringUnit],
         top_k: int | None,
-    ) -> list[ScoredRecord] | None:
+    ) -> RankedPool[ScoredRecord] | None:
         # Imported here: colrank needs ScoredRecord/ScoringUnit from
         # this module, so a top-level import would cycle.
         from repro.perf.colrank import columnar_rank_units
 
         return columnar_rank_units(self.resources, records, units, top_k)
+
+    @staticmethod
+    def _ordered(
+        scored: list[ScoredRecord], top_k: int | None
+    ) -> RankedPool[ScoredRecord]:
+        """The legacy engine's scored records, ordered like the columnar
+        engine's (one ordering implementation for both)."""
+        return RankedPool(
+            scored.__getitem__,
+            [item.score for item in scored],
+            [item.record.record_id for item in scored],
+            limit=top_k,
+        )
 
     # ------------------------------------------------------------------
     # cached condition checks
@@ -614,18 +632,17 @@ class RankSimRanker:
         Per-condition scoring is the degenerate unit case (every
         condition its own slot), so the columnar engine serves it too.
         """
+        pool = None
         if self._resolve_engine(engine) == "columnar":
             units = [
                 ScoringUnit(conditions=(condition,)) for condition in conditions
             ]
-            selected = self._columnar(records, units, top_k)
-            if selected is not None:
-                return selected
-        scored = [self.score(record, conditions) for record in records]
-        scored.sort(key=lambda item: (-item.score, item.record.record_id))
-        if top_k is not None:
-            scored = scored[:top_k]
-        return scored
+            pool = self._columnar(records, units, top_k)
+        if pool is None:
+            pool = self._ordered(
+                [self.score(record, conditions) for record in records], top_k
+            )
+        return list(pool)
 
     # ------------------------------------------------------------------
     def score_units(
@@ -707,29 +724,33 @@ class RankSimRanker:
         units: list[ScoringUnit],
         top_k: int | None = None,
         engine: str | None = None,
-    ) -> list[ScoredRecord]:
+    ) -> Sequence[ScoredRecord]:
         """Order *records* by unit-based Rank_Sim.
 
-        With ``top_k`` the columnar engine selects the best *top_k*
-        via a bounded heap (equivalent to the full sort truncated —
-        ties included); the legacy engine sorts everything and slices.
+        Without ``top_k`` the result is a lazy
+        :class:`~repro.ranking.pool.RankedPool`: scored up front,
+        ordered and materialized only as far as it is read.  With
+        ``top_k`` it is the list of the best *top_k* (a bounded-heap
+        selection, equal to the full sort truncated — ties included).
         """
+        pool = None
         if self._resolve_engine(engine) == "columnar":
-            selected = self._columnar(records, units, top_k)
-            if selected is not None:
-                return selected
-        query_keys = self._query_keys_for_units(units)
-        # Pool records share a handful of distinct product identities;
-        # memoize the TI-matrix lookup per identity.
-        ti_cache: dict[Key, float] = {}
-        scored = [
-            self._score_units_with_keys(record, units, query_keys, ti_cache)
-            for record in records
-        ]
-        scored.sort(key=lambda item: (-item.score, item.record.record_id))
-        if top_k is not None:
-            scored = scored[:top_k]
-        return scored
+            pool = self._columnar(records, units, top_k)
+        if pool is None:
+            query_keys = self._query_keys_for_units(units)
+            # Pool records share a handful of distinct product
+            # identities; memoize the TI-matrix lookup per identity.
+            ti_cache: dict[Key, float] = {}
+            pool = self._ordered(
+                [
+                    self._score_units_with_keys(
+                        record, units, query_keys, ti_cache
+                    )
+                    for record in records
+                ],
+                top_k,
+            )
+        return pool if top_k is None else list(pool)
 
     # ------------------------------------------------------------------
     def _failed_similarity(

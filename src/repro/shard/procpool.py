@@ -25,8 +25,8 @@ per-query pickling of rows, no per-query store rebuild in the parent:
   attach the segments read-only and materialize a
   :class:`_ShadowStore` — duck-typed to the parts of
   :class:`~repro.perf.colrank.ColumnStore` the scoring kernels use —
-  so :func:`repro.perf.colrank._score_rows` / ``_select`` /
-  ``_supports`` run **unchanged** in the worker and every float is
+  so :func:`repro.perf.colrank._score_rows` / ``_supports`` and
+  :func:`repro.ranking.pool.select` run **unchanged** in the worker and every float is
   bit-identical to the thread path's.  Relaxation-unit id-sets are
   evaluated columnar-ly against the same shadow, mirroring
   :func:`repro.perf.fragment_cache.condition_matches` (the SQL
@@ -1242,6 +1242,7 @@ def _resolve_units(units_defs: dict, ref):
 def _score_task(shadows: dict, resources: dict, units_defs: dict, common, task):
     """One shard's columnar top-k in the worker; compact reply."""
     from repro.perf import colrank
+    from repro.ranking.pool import select
 
     token, units_ref, top_k, type_i_fp, query_keys = common
     shard_index, segment_name, epoch, ids_blob = task
@@ -1267,7 +1268,7 @@ def _score_task(shadows: dict, resources: dict, units_defs: dict, common, task):
     scores, slots = colrank._score_rows(
         shadow, worker_resources, rows, units, type_i_fp, list(query_keys)
     )
-    order = colrank._select(scores, list(ids), top_k)
+    order = select(scores, list(ids), top_k)
     selection = [
         (
             local,

@@ -257,8 +257,9 @@ class TestPagination:
 
 
 class TestBoundedRequestPaging:
-    """``page``/``page_all`` on a *request* propagate ``top_k`` so deep
-    pages pay a bounded-heap selection instead of a full re-sort."""
+    """``page``/``page_all`` on a *request*: the request is answered
+    as-is (the lazy ranked pool orders only what the window reads) and
+    an explicit ``top_k`` or ``max_depth`` still bounds the ranking."""
 
     # Few exacts, deep partial pool: the paging actually walks ranked
     # partial candidates past the 30-cap.
@@ -278,14 +279,12 @@ class TestBoundedRequestPaging:
                 full_ranking[offset : offset + limit]
             )
 
-    def test_bounded_page_ranked_with_bounded_pool(self, service):
-        # The served result's pool stops at the derived bound — the
-        # bounded-heap path really ran (plus the has_more sentinel).
-        window = service.page(self.REQUEST, offset=40, limit=10)
-        exacts = len(
-            service.answer(self.REQUEST.with_options(relax_partial=False)).answers
-        )
-        assert window.total <= exacts + 40 + 10 + 1
+    def test_request_page_total_is_exact(self, service, full_ranking):
+        # No bounded-pool rewrite: a request page reports the full
+        # ranking size, at every depth.
+        for offset in (0, 40, len(full_ranking) - 1):
+            window = service.page(self.REQUEST, offset=offset, limit=10)
+            assert window.total == len(full_ranking)
 
     def test_cursor_stays_exact_at_the_bound(self, service, full_ranking):
         offset = 20

@@ -10,7 +10,8 @@ tuples, same similarity kinds, same order (ties included, since the
   ranking vs the full legacy ranking, on 100 generated questions per
   domain across all eight domains;
 * **pipeline level** — full ``AnswerService.answer`` runs with the
-  engine flipped between ``ranking_engine`` settings;
+  engine flipped between ``ranking_engine`` settings, the lazy
+  ``ranked_pool`` walked in full on both;
 * **epoch invalidation** — mutating a table bumps its epoch, so the
   column store rebuilds and the fragment/answer caches miss instead of
   serving pre-mutation state; no manual invalidation anywhere.
@@ -122,6 +123,9 @@ def test_pipeline_parity_per_domain(parity_system, domain):
     questions = [
         generator.generate().text for _ in range(PIPELINE_QUESTIONS_PER_DOMAIN)
     ]
+    # A superlative question: its partial pool is typically the whole
+    # table, nearly all of it unbuilt until the comparisons below.
+    questions.append(generator.generate("superlative").text)
     original = cqads.ranking_engine
     try:
         cqads.ranking_engine = "legacy"
@@ -140,6 +144,9 @@ def test_pipeline_parity_per_domain(parity_system, domain):
         assert _result_signature(legacy_result) == _result_signature(
             columnar_result
         ), f"pipeline divergence on {text!r}"
+        assert list(columnar_result.ranked_pool) == list(
+            legacy_result.ranked_pool
+        ), f"ranked pool divergence on {text!r}"
 
 
 def test_top_k_option_bounds_ranked_pool(parity_system):

@@ -8,9 +8,10 @@ question: a full :class:`~repro.perf.colrank.ColumnStore` rebuild
 ``eval_where`` for every relaxation-unit id-set of the table.  Delta
 maintenance (PR 5) patches instead: the typed
 :class:`~repro.db.table.UpdateDelta` rewrites only the changed column
-slots in the store, and :meth:`FragmentCache.absorb` re-evaluates only
-the touched record against each cached unit, re-keying the id-sets to
-the new epoch.
+slots in the store, and :meth:`FragmentCache.absorb` re-evaluates the
+touched record only against the cached units that read a changed
+column, recording the membership flips that the next read folds into
+a fresh id-set.
 
 The measured stream is the worst churn shape the ROADMAP calls out —
 **one point update per question** — on the candidate-pool + ranking

@@ -430,6 +430,11 @@ def _stats_workload(args: argparse.Namespace, obs) -> str:
         )
         execute(cqads.database, sql)
         execute(cqads.database, sql)
+        # One point edit (an empty one still emits the typed delta):
+        # every write-path cache family — fragments, column store,
+        # windows, plans — records its span.
+        table = cqads.database.table(schema.table_name)
+        table.update(next(iter(table)).record_id, {})
 
         if args.shards is not None:
             # One real record move per sharded run: the rebalance-moves
@@ -490,6 +495,11 @@ def _check_stats_export(rendered: str, sharded: bool = False) -> list[str]:
     for stage in ("rank.score", "rank.select", "rank.materialize"):
         if total("repro_stage_seconds_count", stage=stage) <= 0:
             failures.append(f"relax sub-stage {stage!r} recorded no latency")
+    for stage in (
+        "write.fragment", "write.column_store", "write.windows", "write.plan"
+    ):
+        if total("repro_stage_seconds_count", stage=stage) <= 0:
+            failures.append(f"write-path span {stage!r} recorded no latency")
     if total("repro_serve_requests_total", outcome="completed") <= 0:
         failures.append("serve tier recorded no completed requests")
     if total("repro_wal_ops_total") <= 0:

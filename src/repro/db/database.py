@@ -7,6 +7,7 @@ from typing import Callable, Iterator
 from repro.db.schema import TableSchema
 from repro.db.table import MutationEvent, Table
 from repro.errors import UnknownTableError
+from repro.obs.hooks import stage_timer
 
 __all__ = ["Database"]
 
@@ -205,4 +206,5 @@ def _drop_default_plans(event: MutationEvent) -> None:
     """
     from repro.db.sql.plan_cache import DEFAULT_PLAN_CACHE
 
-    DEFAULT_PLAN_CACHE.invalidate_table(event.table.name)
+    with stage_timer("write.plan"):
+        DEFAULT_PLAN_CACHE.invalidate_table(event.table.name)

@@ -18,9 +18,13 @@ repro_cache_requests_total      counter      cache ∈ {answer, fragment,
                                              plan, window, singleflight},
                                              outcome ∈ {hit, miss}
 repro_stage_seconds             histogram    stage (pipeline stage name,
-                                             or a relax sub-stage:
+                                             a relax sub-stage:
                                              rank.score, rank.select,
-                                             rank.materialize)
+                                             rank.materialize, or a
+                                             write-path cache family:
+                                             write.fragment,
+                                             write.column_store,
+                                             write.windows, write.plan)
 repro_wal_ops_total             counter      op ∈ {append, fsync,
                                              snapshot}
 repro_wal_op_seconds            histogram    op (same values)

@@ -12,7 +12,7 @@ invalidation contracts):
   per-table-epoch column stores, slot-wise scoring with distinct-value
   memos, bounded-heap selection — bit-identical to the legacy ranker;
 * :mod:`repro.perf.fragment_cache` — cross-question memoization of
-  relaxation-unit id-sets, keyed on the table's mutation epoch so
+  relaxation-unit id-sets at one live epoch tag per table or shard, so
   entries can never be served stale;
 * :mod:`repro.perf.window` — per-epoch ordered column windows: sorted
   ``array``-backed (value, id) views maintained incrementally through

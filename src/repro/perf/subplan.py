@@ -85,11 +85,13 @@ def unit_id_sets(
     """Each unit's matching id-set, evaluated once against *table*.
 
     With a :class:`~repro.perf.fragment_cache.FragmentCache`, id-sets
-    are memoized across questions keyed on the table's mutation epoch,
-    so a criterion repeated by a later question ("price < 10000") is
-    never re-evaluated until the table changes — and under delta
-    maintenance (the default) not even then: the engine's mutation
-    listener patches the cached sets forward to the new epoch
+    are memoized across questions and looked up at the table's
+    current mutation epoch, so a criterion repeated by a later
+    question ("price < 10000") is never re-evaluated until the table
+    changes — and under delta maintenance (the default) not even then:
+    the engine's mutation listener patches the cached sets whose
+    membership a write can change and moves the table's live tag to
+    the new epoch
     (:meth:`~repro.perf.fragment_cache.FragmentCache.absorb`), so this
     function keeps hitting warm entries through point mutations
     without knowing how they were maintained.  Cached sets are
@@ -138,10 +140,9 @@ def _sharded_unit_id_sets(
 ) -> list[set[int]]:
     """Scatter-gather :func:`unit_id_sets` over a sharded table.
 
-    Fragment keys are ``(facade name, (shard index, shard epoch),
-    unit)`` — the facade name keeps the eager invalidation sweep
-    addressable per table, while the shard's own epoch versions the
-    entry, so sibling-shard mutations never stale it.  The gathered
+    Fragments are looked up by ``(facade name, (shard index, shard
+    epoch), unit)`` — the cache keeps one live tag per shard under the
+    facade name, so a sibling shard's mutation never stales them.  The gathered
     union is always a fresh set, so cached per-shard sets stay
     unshared-mutable exactly like the single-table path's.
 

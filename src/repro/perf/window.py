@@ -60,7 +60,7 @@ from repro.db.table import (
     Table,
     UpdateDelta,
 )
-from repro.obs.hooks import cache_event
+from repro.obs.hooks import cache_event, stage_timer
 
 __all__ = [
     "ColumnWindow",
@@ -77,7 +77,7 @@ RECORD_ID = "record_id"
 #: is O(windows x rows), so past this point dropping the windows and
 #: rebuilding lazily (one O(n log n) sort each, only for the columns
 #: actually queried again) is strictly cheaper — the window analogue of
-#: ``FragmentCache.MAX_ABSORB_ROWS``.
+#: :data:`repro.perf.fragment_cache.MAX_ABSORB_ROWS`.
 MAX_PENDING_DELTAS = 512
 
 
@@ -406,7 +406,7 @@ class TableWindows:
 
     # ------------------------------------------------------------------
     def _on_delta(self, event: MutationEvent) -> None:
-        with self._lock:
+        with stage_timer("write.windows"), self._lock:
             if not self._windows or self._overflowed:
                 return  # nothing built (or already poisoned): rebuild lazily
             self._pending.append(event)

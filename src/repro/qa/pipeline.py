@@ -32,6 +32,7 @@ from repro.db.database import Database
 from repro.db.schema import AttributeType
 from repro.db.table import MutationEvent, Record
 from repro.errors import ClassificationError
+from repro.obs.hooks import stage_timer
 from repro.perf.fragment_cache import DEFAULT_CAPACITY, FragmentCache
 from repro.qa.conditions import (
     BooleanOperator,
@@ -216,7 +217,7 @@ class CQAds:
         ``AnswerOptions.top_k`` overrides it.
     fragment_cache:
         Cross-question memoization of relaxation-unit id-sets
-        (:mod:`repro.perf.fragment_cache`), keyed on each table's
+        (:mod:`repro.perf.fragment_cache`), looked up at each table's
         mutation epoch and maintained from the database's mutation
         listeners.  Pass a capacity, a prebuilt
         :class:`~repro.perf.fragment_cache.FragmentCache`, or ``None``
@@ -224,8 +225,9 @@ class CQAds:
     cache_maintenance:
         How the hot-path caches follow table mutations.  ``"delta"``
         (default) patches them in place from the typed mutation deltas
-        — the fragment cache re-evaluates only the touched record per
-        cached unit (:meth:`FragmentCache.absorb`) and the ranking
+        — the fragment cache re-evaluates the touched record only
+        against the cached units it can affect
+        (:meth:`FragmentCache.absorb`) and the ranking
         column stores fold the deltas slot-wise
         (:meth:`~repro.perf.colrank.ColumnStore.apply`) — falling back
         to the epoch rebuild for any delta a structure cannot absorb.
@@ -303,8 +305,8 @@ class CQAds:
         if isinstance(fragment_cache, int):
             fragment_cache = FragmentCache(fragment_cache)
         self.fragment_cache = fragment_cache
-        # Epoch keying already makes stale hits impossible; the
-        # listener reclaims dead generations' memory eagerly — and,
+        # Epoch tags already make stale hits impossible; the listener
+        # keeps the cached fragments current through writes — and,
         # regardless of the fragment cache, reacts to table drops
         # (detaching the dead table's ranking resources), which is why
         # it is registered even with the cache disabled.
@@ -339,31 +341,34 @@ class CQAds:
             return
         if self.fragment_cache is None:
             return
-        if self.cache_maintenance == "delta" and self.fragment_cache.absorb(
-            event
-        ):
-            # The cached unit id-sets were patched forward to the new
-            # epoch (re-evaluating only the touched rows) and every
-            # dead generation swept — the next question hits warm
-            # fragments instead of re-running each unit's index scan.
-            return
-        # Fallback / "rebuild" mode: drop the dead generation; the
-        # next question recomputes the affected fragments from scratch.
-        shards = getattr(event.table, "shards", None)
-        if shards is None:
-            self.fragment_cache.invalidate(event.table.name)
-            return
-        # Sharded tables: reclaim only dead generations.  Fragments key
-        # on each shard's own epoch, so the untouched shards' entries
-        # are still current — sweeping them would forfeit the locality
-        # that per-shard caching exists to provide.
-        live = {(index, shard.epoch) for index, shard in enumerate(shards)}
-        self.fragment_cache.invalidate_stale(event.table.name, live)
+        with stage_timer("write.fragment"):
+            if self.cache_maintenance == "delta" and self.fragment_cache.absorb(
+                event
+            ):
+                # The cached unit id-sets whose membership the delta
+                # can change were patched to the new epoch — the next
+                # question hits warm fragments instead of re-running
+                # each unit's index scan.
+                return
+            # Fallback / "rebuild" mode: drop the dead generation; the
+            # next question recomputes the affected fragments from
+            # scratch.
+            shards = getattr(event.table, "shards", None)
+            if shards is None:
+                self.fragment_cache.invalidate(event.table.name)
+                return
+            # Sharded tables: reclaim only dead generations.  Fragments
+            # live per shard at that shard's own epoch, so the
+            # untouched shards' entries are still current — sweeping
+            # them would forfeit the locality that per-shard caching
+            # exists to provide.
+            live = {(index, shard.epoch) for index, shard in enumerate(shards)}
+            self.fragment_cache.invalidate_stale(event.table.name, live)
 
     def _on_table_drop(self, event: MutationEvent) -> None:
         """A table left the catalog: sweep everything keyed on it.
 
-        Epoch keying is **not** enough here — a recreated same-name
+        Epoch tags are **not** enough here — a recreated same-name
         table starts a fresh epoch sequence (and a sharded one can
         re-reach a dropped shard's epoch tag), so the dropped table's
         fragments are swept wholesale rather than by staleness, and
@@ -387,8 +392,9 @@ class CQAds:
         the catalog keeps the engine — its fragment cache, column
         stores and ranking memos — reachable and keeps running its
         invalidation sweeps on every mutation.  Idempotent, and the
-        engine remains usable afterwards: epoch keying keeps the
-        fragment cache correct while detached, and :meth:`context`
+        engine remains usable afterwards: epoch tags keep the
+        fragment cache correct while detached (the first store at a
+        newer epoch resets the stale table or shard), and :meth:`context`
         lazily re-attaches each domain's resources on next use.
         """
         self.database.remove_listener(self._on_table_mutation)

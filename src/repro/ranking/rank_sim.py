@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.db.schema import AttributeType
 from repro.db.table import BatchDelta, MutationEvent, Record, Table, UpdateDelta
+from repro.obs.hooks import stage_timer
 from repro.qa.conditions import Condition, ConditionOp
 from repro.ranking.num_sim import condition_num_sim
 from repro.ranking.pool import RankedPool
@@ -238,6 +239,10 @@ class RankingResources:
             self._pending_overflow = False
 
     def _on_mutation(self, event: MutationEvent) -> None:
+        with stage_timer("write.column_store"):
+            self._absorb_mutation(event)
+
+    def _absorb_mutation(self, event: MutationEvent) -> None:
         # Inserts never touch existing ids and deletes merely leave
         # dead entries, but an update changes the values behind a
         # cached id — evict that record's memoizations.  A typed

@@ -24,6 +24,9 @@ Three layers are proved here:
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
@@ -31,10 +34,13 @@ from repro.api.requests import AnswerRequest
 from repro.datagen.questions import make_generator
 from repro.datagen.vocab import DOMAIN_NAMES
 from repro.db.database import Database
-from repro.db.schema import AttributeType
+from repro.db.schema import AttributeType, TableSchema
+from repro.db.sql.builder import QueryBuilder
 from repro.db.sql.executor import SQLExecutor
+from repro.perf import fragment_cache
 from repro.perf.colrank import ColumnStore
-from repro.perf.subplan import unit_id_sets
+from repro.perf.fragment_cache import FragmentCache
+from repro.perf.subplan import unit_expression, unit_id_sets
 from repro.qa.conditions import Condition, ConditionOp
 from repro.qa.pipeline import CQAds
 from repro.ranking.rank_sim import RankingResources, ScoringUnit
@@ -398,8 +404,14 @@ def test_lexicographic_range_condition_patches_like_executor():
     ))
     (cached,) = unit_id_sets(executor, table, [unit], cache)
     assert cached == {1, 3}  # "2010" < "2010.0" lexicographically
-    # An unrelated update forces absorb to re-evaluate record 1.
+    # An unrelated update leaves the unit alone (it reads only model).
     table.update(1, {"color": "green"})
+    (patched,) = unit_id_sets(executor, table, [unit], cache)
+    assert patched == unit_id_sets(executor, table, [unit], None)[0]
+    assert patched == {1, 3}
+    # A model edit makes absorb re-evaluate the unit: "2010" stays
+    # below "2010.0", so record 3 must stay in the set.
+    table.update(3, {"model": "2010"})
     (patched,) = unit_id_sets(executor, table, [unit], cache)
     assert patched == unit_id_sets(executor, table, [unit], None)[0]
     assert patched == {1, 3}
@@ -446,6 +458,310 @@ def test_absorbed_sets_are_fresh_copies():
     assert held == snapshot  # the old set object is untouched
     (patched,) = unit_id_sets(executor, table, [unit], cache)
     assert inserted.record_id in patched
+
+
+# ----------------------------------------------------------------------
+# fragment-cache storms with a second table, stale puts, a detached engine
+# ----------------------------------------------------------------------
+def _other_car_schema() -> TableSchema:
+    """The storm schema under a second table name."""
+    return TableSchema(table_name="other_ads", columns=small_car_schema().columns)
+
+
+def _warm_storm_table(database, schema, shard_count, seed):
+    table = database.create_table(schema, shards=shard_count)
+    rng = random.Random(seed)
+    table.insert_many([_random_row(rng) for _ in range(20)])
+    return table
+
+
+@pytest.mark.parametrize("shard_count", [None, 1, 2, 4])
+def test_fragment_cache_storm_two_tables(shard_count):
+    """Two tables mutated in step: each table's patched sets match a
+    fresh evaluation, and neither table's writes disturb the other's."""
+    database = Database()
+    first = _warm_storm_table(database, small_car_schema(), shard_count, 81)
+    second = _warm_storm_table(database, _other_car_schema(), shard_count, 82)
+    cache = CQAds(database).fragment_cache
+    executor = SQLExecutor(database)
+    units = _storm_units()
+    for table in (first, second):
+        unit_id_sets(executor, table, units, cache)
+    rng = random.Random(83)
+    for step in range(STORM_STEPS):
+        _mutate(rng, first)
+        _mutate(rng, second)
+        misses_before = cache.misses
+        for table in (first, second):
+            cached = unit_id_sets(executor, table, units, cache)
+            fresh = unit_id_sets(executor, table, units, None)
+            assert cached == fresh, f"{table.name} diverged at step {step}"
+        assert cache.misses == misses_before, f"recompute at step {step}"
+
+
+@pytest.mark.parametrize("shard_count", [None, 1, 2, 4])
+def test_fragment_cache_storm_stale_put(shard_count):
+    """A set computed at epoch e and stored after a write moved the
+    table to e+1 (a question racing a write) must not be served."""
+    database = Database()
+    table = _warm_storm_table(database, small_car_schema(), shard_count, 84)
+    cache = CQAds(database).fragment_cache
+    executor = SQLExecutor(database)
+    units = _storm_units()
+    unit_id_sets(executor, table, units, cache)
+    parts = table.shards if shard_count is not None else [table]
+    rng = random.Random(85)
+    for step in range(STORM_STEPS):
+        # Each shard's (or the table's) sets at the pre-write tag.
+        stale = [
+            (
+                (index, part.epoch) if shard_count is not None else part.epoch,
+                unit_id_sets(executor, part, units, None),
+            )
+            for index, part in enumerate(parts)
+        ]
+        _mutate(rng, table)
+        for tag, sets in stale:
+            for unit, ids in zip(units, sets):
+                cache.put(table.name, tag, unit, ids)
+        misses_before = cache.misses
+        cached = unit_id_sets(executor, table, units, cache)
+        assert cache.misses == misses_before, f"recompute at step {step}"
+        fresh = unit_id_sets(executor, table, units, None)
+        assert cached == fresh, f"stale put served at step {step}"
+
+
+@pytest.mark.parametrize("shard_count", [None, 1, 2, 4])
+def test_fragment_cache_storm_detached_engine(shard_count):
+    """After ``CQAds.close()`` no delta reaches the cache: every read
+    must still match a fresh evaluation, and the missed writes replace
+    the stale entries instead of piling up beside them."""
+    database = Database()
+    table = _warm_storm_table(database, small_car_schema(), shard_count, 86)
+    cqads = CQAds(database)
+    cache = cqads.fragment_cache
+    executor = SQLExecutor(database)
+    units = _storm_units()
+    unit_id_sets(executor, table, units, cache)
+    rng = random.Random(87)
+    for _ in range(5):
+        _mutate(rng, table)
+    cqads.close()
+    for step in range(STORM_STEPS):
+        _mutate(rng, table)
+        cached = unit_id_sets(executor, table, units, cache)
+        fresh = unit_id_sets(executor, table, units, None)
+        assert cached == fresh, f"detached cache diverged at step {step}"
+        assert len(cache) == len(units) * (shard_count or 1)
+
+
+# ----------------------------------------------------------------------
+# write cost proportional to the delta
+# ----------------------------------------------------------------------
+def _counting_unit_matches(monkeypatch) -> list:
+    """Count every per-record unit evaluation the cache makes."""
+    calls: list = []
+    original = fragment_cache.unit_matches
+
+    def counted(schema, unit, record):
+        calls.append(unit)
+        return original(schema, unit, record)
+
+    monkeypatch.setattr(fragment_cache, "unit_matches", counted)
+    return calls
+
+
+def _reads(unit: ScoringUnit, column: str) -> bool:
+    return any(condition.column == column for condition in unit.conditions)
+
+
+@pytest.mark.parametrize("shard_count", [None, 2])
+def test_update_evaluates_only_units_reading_a_changed_column(
+    monkeypatch, shard_count
+):
+    database = Database()
+    table = _warm_storm_table(database, small_car_schema(), shard_count, 88)
+    cache = CQAds(database).fragment_cache
+    executor = SQLExecutor(database)
+    units = _storm_units()
+    unit_id_sets(executor, table, units, cache)
+    calls = _counting_unit_matches(monkeypatch)
+    record = next(iter(table))
+    # No cached unit reads transmission: nothing is re-evaluated.
+    new_transmission = "manual" if record["transmission"] != "manual" else "automatic"
+    table.update(record.record_id, {"transmission": new_transmission})
+    assert calls == []
+    # A price edit re-evaluates exactly the units that read price (in
+    # the one table or shard that holds the record).
+    table.update(record.record_id, {"price": (record["price"] or 0) + 1})
+    assert sorted(map(repr, calls)) == sorted(
+        repr(unit) for unit in units if _reads(unit, "price")
+    )
+    assert unit_id_sets(executor, table, units, cache) == unit_id_sets(
+        executor, table, units, None
+    )
+
+
+def test_write_to_one_table_evaluates_no_entry_of_another(monkeypatch):
+    database = Database()
+    first = _warm_storm_table(database, small_car_schema(), None, 89)
+    second = _warm_storm_table(database, _other_car_schema(), None, 90)
+    cache = CQAds(database).fragment_cache
+    executor = SQLExecutor(database)
+    first_units = _storm_units()
+    second_units = [
+        ScoringUnit(conditions=(
+            Condition("color", AttributeType.TYPE_II, ConditionOp.EQ, "green"),
+        )),
+    ]
+    unit_id_sets(executor, first, first_units, cache)
+    unit_id_sets(executor, second, second_units, cache)
+    calls = _counting_unit_matches(monkeypatch)
+    first.insert(_random_row(random.Random(91)))
+    assert len(calls) == len(first_units)
+    assert not set(calls) & set(second_units)
+    misses_before = cache.misses
+    assert unit_id_sets(executor, second, second_units, cache) == (
+        unit_id_sets(executor, second, second_units, None)
+    )
+    assert cache.misses == misses_before  # the other table stayed warm
+
+
+def test_membership_flips_are_copied_on_first_read():
+    """Absorbing flips allocates no set; the next read folds them into
+    one fresh set, and a read without writes in between copies none."""
+    database = Database()
+    table = database.create_table(small_car_schema())
+    rng = random.Random(92)
+    table.insert_many([_random_row(rng) for _ in range(2000)])
+    cache = FragmentCache()  # absorbed by hand below, no listener
+    executor = SQLExecutor(database)
+    unit = ScoringUnit(conditions=(
+        Condition("price", AttributeType.TYPE_III, ConditionOp.LT, 20000),
+    ))
+    (held,) = unit_id_sets(executor, table, [unit], cache)
+    snapshot = set(held)
+    events: list = []
+    table.add_listener(events.append)
+    outside = [r.record_id for r in table.snapshot() if r.record_id not in held]
+    for record_id in outside[:3]:
+        table.update(record_id, {"price": 1000})  # joins the set
+    table.update(next(iter(held)), {"price": 50000})  # leaves the set
+    tracemalloc.start()
+    try:
+        for event in events:
+            assert cache.absorb(event)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.getsizeof(held) // 4  # no id-set was copied
+    assert held == snapshot
+    (patched,) = unit_id_sets(executor, table, [unit], cache)
+    assert patched is not held
+    assert patched == executor.eval_where(
+        table, unit_expression(QueryBuilder(table.name), unit)
+    )
+    (again,) = unit_id_sets(executor, table, [unit], cache)
+    assert again is patched  # no writes since: no second copy
+
+
+def test_concurrent_reads_never_see_handed_out_sets_change():
+    """Readers hammer the cache while a writer's deltas are absorbed:
+    no set a reader was handed ever changes, and the cache ends equal
+    to a fresh evaluation."""
+    database = Database()
+    table = _warm_storm_table(database, small_car_schema(), 2, 96)
+    cache = CQAds(database).fragment_cache
+    executor = SQLExecutor(database)
+    units = _storm_units()
+    unit_id_sets(executor, table, units, cache)
+    held: list = []
+    errors: list = []
+    stop = threading.Event()
+
+    def reader() -> None:
+        try:
+            while not stop.is_set():
+                for index, shard in enumerate(table.shards):
+                    for unit in units:
+                        ids = cache.get(table.name, (index, shard.epoch), unit)
+                        if ids is not None:
+                            held.append((ids, set(ids)))
+        except Exception as error:  # surfaced by the assertion below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    try:
+        for thread in threads:
+            thread.start()
+        rng = random.Random(97)
+        for _ in range(STORM_STEPS):
+            _mutate(rng, table)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert held and all(ids == snapshot for ids, snapshot in held)
+    assert unit_id_sets(executor, table, units, cache) == unit_id_sets(
+        executor, table, units, None
+    )
+
+
+# ----------------------------------------------------------------------
+# one live tag per table/shard: lookup and store rules
+# ----------------------------------------------------------------------
+def test_fragment_cache_live_tag_rules():
+    unit = _storm_units()[1]
+    cache = FragmentCache()
+    cache.put("t", 5, unit, {1, 2})  # no tag yet: adopts 5
+    assert cache.get("t", 5, unit) == {1, 2}
+    assert cache.get("t", 4, unit) is None  # tag mismatch is a miss
+    assert cache.get("t", 6, unit) is None
+    assert (cache.hits, cache.misses) == (1, 2)
+    cache.put("t", 4, unit, {9})  # older: computed before a write
+    assert cache.get("t", 5, unit) == {1, 2}
+    other = _storm_units()[2]
+    cache.put("t", 5, other, {3})
+    cache.put("t", 7, unit, {7})  # newer: the cache missed deltas
+    assert len(cache) == 1
+    assert cache.get("t", 7, unit) == {7}
+    assert cache.get("t", 7, other) is None
+    # Shard tags keep one live tag per shard under one table name.
+    cache.put("s", (0, 3), unit, {1})
+    cache.put("s", (1, 8), unit, {2})
+    assert cache.get("s", (0, 3), unit) == {1}
+    assert cache.invalidate_stale("s", [(0, 3), (1, 9)]) == 1
+    assert cache.get("s", (1, 8), unit) is None
+    assert cache.invalidate("t") == 1
+    assert len(cache) == 1
+
+
+def test_writes_keep_true_lru_recency():
+    """A write patches entries in place without refreshing them, so
+    the least recently *read* entry is the one evicted — even when a
+    write just patched it."""
+    database = Database()
+    first = _warm_storm_table(database, small_car_schema(), None, 93)
+    second = _warm_storm_table(database, _other_car_schema(), None, 94)
+    cache = FragmentCache(capacity=2)
+    database.add_listener(cache.absorb)
+    executor = SQLExecutor(database)
+    unit, other = _storm_units()[1:3]
+    unit_id_sets(executor, first, [unit], cache)
+    unit_id_sets(executor, second, [unit], cache)  # now the MRU entry
+    first.insert(_random_row(random.Random(95)))  # patches first's entry
+    unit_id_sets(executor, second, [other], cache)  # evicts first's entry
+    assert cache.evictions == 1
+    misses_before = cache.misses
+    unit_id_sets(executor, second, [unit], cache)
+    assert cache.misses == misses_before
+    unit_id_sets(executor, first, [unit], cache)
+    assert cache.misses == misses_before + 1
 
 
 # ----------------------------------------------------------------------

@@ -20,31 +20,27 @@ driven by six-unit questions over the cars domain at 2000- and
 8000-record pools, one point update per round, five questions per
 round.  Both builds hold bit-identical data and answers (asserted
 before and after timing); the snapshot lands in
-``BENCH_sharding.json``.
+``BENCH_sharding.json`` together with the CPU count, the Python
+version and the pinned ``cache_maintenance``.
 
-The sharded arm runs in both scatter modes (``--mode`` /
-``BENCH_SHARDING_MODE`` selects one):
+Both builds pin ``cache_maintenance="rebuild"``, so the speedup holds
+only on that configuration, **not** on the default (``"delta"``),
+where caches are patched in place for both layouts and there is no
+rebuild cost left for locality to save.  End to end on the default
+configuration the 4-shard build is slower than the single table
+(``PERFORMANCE.md``, "Sharding tier on the default configuration").
 
-* ``thread`` — the in-process scatter executor (the PR 4 baseline);
-* ``process`` — the shared-memory worker-process pool
-  (:mod:`repro.shard.procpool`), which replaces per-mutation store
-  rebuilds with seqlock-patched segments and worker-side memo repair.
-  The run asserts the pool actually served (no silent thread
-  fallback), so its numbers are never a mislabeled thread arm.
-
-Acceptance: >= 1.5x (thread) and >= 2.0x (process) over the single
-table at 4 shards on the 8000-record pool.
+Acceptance: >= 1.5x over the single table at 4 shards on the
+8000-record pool.
 
 Quick mode (CI smoke): ``BENCH_SHARDING_QUICK=1`` runs the 2000-ad
 scale only with fewer rounds, asserts the sharded build is not slower
 than the single table (a broken-locality build measures below 1.0x,
 a healthy one ~1.25-1.5x), and leaves the committed JSON snapshot
-untouched.  Process mode skips cleanly on platforms without POSIX
-shared memory or a spawn context.
+untouched.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_sharding.py -s
-  or: PYTHONPATH=src python benchmarks/bench_sharding.py
-          [--quick] [--mode {thread,process}]
+  or: PYTHONPATH=src python benchmarks/bench_sharding.py [--quick]
 """
 
 from __future__ import annotations
@@ -52,6 +48,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
 import random
 import sys
 import time
@@ -73,17 +70,12 @@ from repro.qa.conditions import (
     Interpretation,
 )
 from repro.qa.sql_generation import evaluate_interpretation
-from repro.shard import ShardedTable, process_scatter_supported
+from repro.shard import ShardedTable
 from repro.system import build_system
 
 RESULT_PATH = pathlib.Path(__file__).parent / "BENCH_sharding.json"
 
 QUICK = bool(os.environ.get("BENCH_SHARDING_QUICK"))
-_MODE_ENV = os.environ.get("BENCH_SHARDING_MODE", "").strip().lower()
-MODES = (_MODE_ENV,) if _MODE_ENV in ("thread", "process") else (
-    "thread",
-    "process",
-)
 SCALES = (2000,) if QUICK else (2000, 8000)
 SHARDS = 4
 QUESTION_VARIETY = 10
@@ -93,11 +85,6 @@ ROUNDS = 10 if QUICK else 15
 QUESTIONS_PER_ROUND = 2 if QUICK else 5
 REPEATS = 2
 MIN_SPEEDUP_AT_8000 = 1.5
-#: The process pool must beat the thread arm's gate decisively: it
-#: additionally skips the per-mutation shard-store rebuild (seqlock
-#: patch + worker memo repair), so the same mutating workload clears
-#: 2x over the single table.
-MIN_PROCESS_SPEEDUP_AT_8000 = 2.0
 #: Quick mode is a regression tripwire, not a performance gate: with
 #: shard-local caching broken, the sharded build pays full
 #: re-invalidation *plus* per-shard overheads and measures below 1.0x
@@ -107,11 +94,7 @@ MIN_PROCESS_SPEEDUP_AT_8000 = 2.0
 MIN_SPEEDUP_QUICK = 1.0
 
 
-@pytest.fixture(
-    scope="module",
-    params=[(scale, mode) for scale in SCALES for mode in MODES],
-    ids=lambda param: f"{param[0]}-{param[1]}",
-)
+@pytest.fixture(scope="module", params=SCALES, ids=str)
 def system_pair(request):
     """The same cars recipe, unsharded and 4-way sharded.
 
@@ -123,9 +106,7 @@ def system_pair(request):
     both layouts and removes most per-mutation rebuild cost entirely;
     ``bench_incremental.py`` measures that effect on its own.
     """
-    scale, mode = request.param
-    if mode == "process" and not process_scatter_supported():
-        pytest.skip("platform lacks shared memory or a spawn context")
+    scale = request.param
     recipe = dict(
         ads_per_domain=scale,
         sessions_per_domain=300,
@@ -133,12 +114,8 @@ def system_pair(request):
         cache_maintenance="rebuild",
     )
     base = build_system(["cars"], **recipe)
-    sharded = build_system(
-        ["cars"], shards=SHARDS, scatter_mode=mode, **recipe
-    )
-    yield base, sharded, scale, mode
-    # Recycle the worker pool and its shared-memory segments eagerly —
-    # leaked segments would be reclaimed at exit, but noisily.
+    sharded = build_system(["cars"], shards=SHARDS, **recipe)
+    yield base, sharded, scale
     sharded.close()
     base.close()
 
@@ -224,10 +201,9 @@ def _mutating_workload(
 
 
 def test_scatter_gather_speedup_under_mutation(system_pair):
-    base, sharded, scale, mode = system_pair
+    base, sharded, scale = system_pair
     table = sharded.database.table("car_ads")
     assert isinstance(table, ShardedTable) and table.shard_count == SHARDS
-    assert table.scatter_mode == mode
     interpretations = _question_interpretations(base, QUESTION_VARIETY)
     excludes = [
         {
@@ -255,21 +231,13 @@ def test_scatter_gather_speedup_under_mutation(system_pair):
     # Both builds saw the same mutation stream: still bit-identical.
     _assert_parity(base, sharded, interpretations, excludes)
 
-    if mode == "process":
-        # The measured numbers must come from the worker pool, not a
-        # silent fallback onto the thread path.
-        pool = table.process_pool()
-        assert pool is not None and not pool.broken and not pool.unsupported
-        assert pool.worker_pids(), "no live scatter workers after timing"
-        assert table.scatter_mode == "process"
-
     # The timed quantity is min-over-repeats of ONE workload pass, so
     # per-question latency divides by one pass's question count.
     questions = ROUNDS * QUESTIONS_PER_ROUND
     rows = [
         ["single table", format_seconds(base_seconds / questions), "1.00x"],
         [
-            f"{SHARDS}-shard {mode} scatter",
+            f"{SHARDS}-shard thread scatter",
             format_seconds(sharded_seconds / questions),
             f"{speedup:.2f}x",
         ],
@@ -287,41 +255,35 @@ def test_scatter_gather_speedup_under_mutation(system_pair):
     )
 
     if not QUICK:
-        snapshot = {}
+        scales = {}
         if RESULT_PATH.exists():
-            snapshot = json.loads(RESULT_PATH.read_text())
-        snapshot.setdefault("benchmark", "sharded_scatter_gather")
-        snapshot.setdefault("shards", SHARDS)
-        snapshot.setdefault("rounds", ROUNDS)
-        snapshot.setdefault("questions_per_round", QUESTIONS_PER_ROUND)
-        entry = {
+            scales = json.loads(RESULT_PATH.read_text()).get("scales", {})
+        scales[str(scale)] = {
             "pool_size": scale,
             "single_table_ms_per_question": 1000 * base_seconds / questions,
             "sharded_ms_per_question": 1000 * sharded_seconds / questions,
             "speedup": speedup,
         }
-        snapshot.setdefault("modes", {}).setdefault(mode, {}).setdefault(
-            "scales", {}
-        )[str(scale)] = entry
-        if mode == "thread":
-            # The pre-process-scatter snapshot shape, kept for trend
-            # tooling that reads the thread numbers from the top level.
-            snapshot.setdefault("scales", {})[str(scale)] = dict(entry)
+        snapshot = {
+            "benchmark": "sharded_scatter_gather",
+            "shards": SHARDS,
+            "rounds": ROUNDS,
+            "questions_per_round": QUESTIONS_PER_ROUND,
+            "cache_maintenance": "rebuild",
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "scales": scales,
+        }
         RESULT_PATH.write_text(json.dumps(snapshot, indent=2) + "\n")
 
     if QUICK:
         assert speedup >= MIN_SPEEDUP_QUICK, (
-            f"{SHARDS}-shard {mode} scatter must be >= {MIN_SPEEDUP_QUICK}x "
+            f"{SHARDS}-shard scatter must be >= {MIN_SPEEDUP_QUICK}x "
             f"even in quick mode at {scale} ads, measured {speedup:.2f}x"
         )
     elif scale == 8000:
-        floor = (
-            MIN_PROCESS_SPEEDUP_AT_8000
-            if mode == "process"
-            else MIN_SPEEDUP_AT_8000
-        )
-        assert speedup >= floor, (
-            f"{SHARDS}-shard {mode} scatter must be >= {floor}x "
+        assert speedup >= MIN_SPEEDUP_AT_8000, (
+            f"{SHARDS}-shard scatter must be >= {MIN_SPEEDUP_AT_8000}x "
             f"at 8000 ads, measured {speedup:.2f}x"
         )
 
@@ -330,9 +292,4 @@ if __name__ == "__main__":
     argv = sys.argv[1:]
     if "--quick" in argv:
         os.environ["BENCH_SHARDING_QUICK"] = "1"
-    for index, token in enumerate(argv):
-        if token == "--mode" and index + 1 < len(argv):
-            os.environ["BENCH_SHARDING_MODE"] = argv[index + 1]
-        elif token.startswith("--mode="):
-            os.environ["BENCH_SHARDING_MODE"] = token.split("=", 1)[1]
     raise SystemExit(pytest.main([__file__, "-s", "-q"]))

@@ -5,11 +5,9 @@ then exercises the three :class:`AnswerService` entry points —
 ``answer`` (one request, with per-request options), ``answer_batch``
 (thread-pool fan-out, results in input order) and ``page`` (cursor
 pagination past the paper's 30-answer cap) — then scale-out:
-``.shards(4)`` thread scatter and ``.shards(4,
-scatter_mode="process")``, the shared-memory worker-process tier with
-online shard splitting and rebalancing (see PERFORMANCE.md, "Process
-scatter & rebalancing") — then the async service
-tier (:class:`~repro.serve.AsyncAnswerService`): single-flight
+``.shards(4)`` thread scatter with online shard splitting and
+rebalancing (see PERFORMANCE.md, "Rebalancing") — then the async
+service tier (:class:`~repro.serve.AsyncAnswerService`): single-flight
 coalescing, admission control and deadlines over the same engine —
 then durability: ``.storage(directory)`` logs every
 mutation to a checksummed write-ahead log, and
@@ -60,7 +58,6 @@ from repro import (
 )
 from repro.db.sql.executor import SQLExecutor
 from repro.errors import DeadlineExceededError
-from repro.shard import process_scatter_supported
 from repro.store import database_fingerprint
 
 
@@ -267,60 +264,23 @@ def main() -> None:
           f"only that shard's caches were patched")
     sharded_table.delete(spare.record_id)
 
-    # True multi-core scatter: scatter_mode="process" exports each
-    # shard's column store into POSIX shared memory and runs the
-    # per-shard relaxation id-sets and top-k scoring in a persistent
-    # pool of worker processes.  Point updates are patched into the
-    # live segments in place (seqlock + epoch handshake) and workers
-    # repair their memoized predicate sets at the changed rows, so the
-    # pool survives a mutating stream without re-exports.  Anything the
-    # pool cannot serve falls back to the thread path, so answers stay
-    # bit-identical either way (see PERFORMANCE.md, "Process scatter &
-    # rebalancing"; BENCH_sharding.json: ~2.4x at 8000 ads vs ~1.6x
-    # for thread scatter).  Platforms without POSIX shared memory skip
-    # straight to thread mode — process_scatter_supported() tells you.
-    print("=" * 72)
-    if process_scatter_supported():
-        print("Provisioning again with process scatter (4 shards) ...")
-        process_service = (
-            SystemBuilder()
-            .with_domains("cars")
-            .ads_per_domain(500)
-            .shards(4, scatter_mode="process")
-            .build_service()
-        )
-        process_table = process_service.cqads.database.table("car_ads")
-        scattered = process_service.ask(question, domain="cars")
-        identical = [
-            (a.record.record_id, a.exact, a.score) for a in plain.answers
-        ] == [(a.record.record_id, a.exact, a.score) for a in scattered.answers]
-        pool = process_table.process_pool()
-        workers = pool.worker_pids() if pool is not None else []
-        print(f"Q: {question}")
-        print(f"   process-scatter answers identical: {identical} "
-              f"(served by {len(workers)} worker process(es))")
-        # Online rebalancing: split the busiest shard, then level the
-        # live shards back toward the mean — every move is an ordinary
-        # typed delta under the facade write lock, so caches, windows
-        # and the worker pool absorb it like any other mutation.
-        sizes = process_table.shard_sizes()
-        busiest = sizes.index(max(sizes))
-        new_shard = process_table.split_shard(busiest)
-        moved = process_table.rebalance()
-        print(f"   split shard {busiest} -> new shard {new_shard}, "
-              f"then rebalanced {moved} record(s): "
-              f"sizes {process_table.shard_sizes()}")
-        rebalanced = process_service.ask(question, domain="cars")
-        still = [
-            (a.record.record_id, a.exact, a.score) for a in plain.answers
-        ] == [(a.record.record_id, a.exact, a.score)
-              for a in rebalanced.answers]
-        print(f"   answers identical after split + rebalance: {still}")
-        process_table.close()  # recycle the workers and their segments
-    else:  # pragma: no cover - exercised only on exotic platforms
-        print("Process scatter unsupported here (no POSIX shared memory "
-              "or spawn context) — scatter_mode='process' would fall "
-              "back to thread scatter.")
+    # Online rebalancing: split the busiest shard, then level the live
+    # shards back toward the mean — every move is an ordinary typed
+    # delta under the facade write lock, so caches and windows absorb
+    # it like any other mutation (see PERFORMANCE.md, "Rebalancing").
+    sizes = sharded_table.shard_sizes()
+    busiest = sizes.index(max(sizes))
+    new_shard = sharded_table.split_shard(busiest)
+    moved = sharded_table.rebalance()
+    print(f"   split shard {busiest} -> new shard {new_shard}, "
+          f"then rebalanced {moved} record(s): "
+          f"sizes {sharded_table.shard_sizes()}")
+    rebalanced = sharded_service.ask(question, domain="cars")
+    still = [
+        (a.record.record_id, a.exact, a.score) for a in plain.answers
+    ] == [(a.record.record_id, a.exact, a.score) for a in rebalanced.answers]
+    print(f"   answers identical after split + rebalance: {still}")
+    sharded_table.close()  # release the scatter executor
 
     # The service tier: an asyncio front door with admission control.
     # Identical in-flight questions coalesce into one engine run,

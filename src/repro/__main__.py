@@ -112,16 +112,6 @@ def _add_provisioning_arguments(parser: argparse.ArgumentParser) -> None:
             "are bit-identical either way)"
         ),
     )
-    parser.add_argument(
-        "--scatter-mode",
-        choices=("thread", "process"),
-        default=None,
-        help=(
-            "scatter execution tier for sharded builds: 'thread' (default) "
-            "or 'process' (shared-memory worker pool, true multi-core; "
-            "falls back to threads automatically when unavailable)"
-        ),
-    )
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -389,7 +379,7 @@ def _stats_workload(args: argparse.Namespace, obs) -> str:
             .storage(directory, fsync="off")
         )
         if args.shards is not None:
-            builder = builder.shards(args.shards, scatter_mode=args.scatter_mode)
+            builder = builder.shards(args.shards)
         system = builder.build()
         service = system.async_service(
             cache=64, observability=obs, workers=2, max_queue=16
@@ -574,7 +564,7 @@ def _snapshot_main(argv: list[str]) -> int:
         if domains is not None:
             builder = builder.with_domains(domains)
         if args.shards is not None:
-            builder = builder.shards(args.shards, scatter_mode=args.scatter_mode)
+            builder = builder.shards(args.shards)
         system = builder.build()
         database, backend = system.database, system.storage
         provisioned = True
@@ -697,7 +687,7 @@ def _provision_service(args: argparse.Namespace) -> AnswerService:
     if domains is not None:
         builder = builder.with_domains(domains)
     if args.shards is not None:
-        builder = builder.shards(args.shards, scatter_mode=args.scatter_mode)
+        builder = builder.shards(args.shards)
     return builder.build_service()
 
 
@@ -892,7 +882,7 @@ def _load_main(argv: list[str]) -> int:
     if domains is not None:
         builder = builder.with_domains(domains)
     if args.shards is not None:
-        builder = builder.shards(args.shards, scatter_mode=args.scatter_mode)
+        builder = builder.shards(args.shards)
     system = builder.build()
 
     from repro.datagen.questions import make_generator

@@ -200,7 +200,6 @@ def build_dataset(
     shards: int | None = None,
     partitioner=None,
     scatter_workers: int | None = None,
-    scatter_mode: str | None = None,
 ) -> DomainDataset:
     """Generate *ads_per_domain* ads for *domain* into *database*.
 
@@ -223,7 +222,6 @@ def build_dataset(
         shards=shards,
         partitioner=partitioner,
         scatter_workers=scatter_workers,
-        scatter_mode=scatter_mode,
     )
     # insert_many notifies mutation listeners once for the whole seed
     # batch — on a warm system (lazy provisioning) per-row inserts

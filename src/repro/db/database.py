@@ -100,7 +100,6 @@ class Database:
         shards: int | None = None,
         partitioner=None,
         scatter_workers: int | None = None,
-        scatter_mode: str | None = None,
     ) -> Table:
         """Create and register a table for *schema*; name must be new.
 
@@ -114,12 +113,9 @@ class Database:
         attach to the facade, which relays every shard's typed
         mutation deltas re-stamped with the aggregated epoch, the
         owning shard's index and that shard's own epoch.
-
-        ``scatter_mode="process"`` routes the facade's heavy scatter
-        paths through the shared-memory worker-process pool (see
-        :mod:`repro.shard.procpool`); it is a runtime execution
-        policy, not part of the persisted table identity — recovery
-        recreates tables with the default mode.
+        ``scatter_workers`` sizes the facade's thread scatter executor;
+        it is a runtime execution policy, not part of the persisted
+        table identity.
         """
         name = self._canonical(schema.table_name)
         if name in self._tables:
@@ -137,7 +133,6 @@ class Database:
                 partitioner=partitioner,
                 substring_gram=substring_gram,
                 scatter_workers=scatter_workers,
-                scatter_mode=scatter_mode or "thread",
             )
         for listener in self._listeners:
             table.add_listener(listener)

@@ -189,7 +189,7 @@ def register_shard_rows_gauge(table, shard_index: int) -> None:
 
 
 def shard_scatter_observe(table_name: str, shard_index: int, seconds: float) -> None:
-    """Record one per-shard scatter-leaf duration (thread or process)."""
+    """Record one per-shard scatter-leaf duration."""
     get_default_registry().histogram(
         "repro_shard_scatter_seconds", table=table_name, shard=str(shard_index)
     ).observe(seconds)

@@ -711,60 +711,6 @@ def _emit(
     )
 
 
-def _slot_specs(
-    units: Sequence[ScoringUnit],
-) -> list[tuple[tuple[Condition, ...], str]]:
-    """The ``(conditions, kind)`` half of each slot, in slot order.
-
-    Must mirror :func:`_score_rows`'s slot construction exactly — one
-    slot per condition of an "all" unit, one slot for a multi-branch
-    "any" unit — so a worker's per-slot satisfaction tuple (whose sat
-    columns *were* produced by ``_score_rows``, shipped back without
-    the conditions) re-attaches to the right conditions and kinds.
-    The cross-mode parity battery pins the alignment.
-    """
-    specs: list[tuple[tuple[Condition, ...], str]] = []
-    for unit in units:
-        if unit.mode == "any" and len(unit.conditions) > 1:
-            specs.append((unit.conditions, "Num_Sim"))
-        else:
-            for condition in unit.conditions:
-                specs.append(
-                    (
-                        (condition,),
-                        "negation"
-                        if condition.negated
-                        else _KIND_BY_TYPE[condition.attribute_type],
-                    )
-                )
-    return specs
-
-
-def _emit_from_sats(
-    record: Record,
-    score: float,
-    sats: Sequence[bool],
-    specs: list[tuple[tuple[Condition, ...], str]],
-) -> ScoredRecord:
-    """:func:`_emit`, but from a worker's compact satisfaction tuple."""
-    failed: list[Condition] = []
-    kinds: set[str] = set()
-    for (conditions, kind), sat in zip(specs, sats):
-        if sat:
-            continue
-        failed.extend(conditions)
-        kinds.add(kind)
-    if not failed:
-        kind = "exact"
-    elif len(kinds) == 1:
-        kind = next(iter(kinds))
-    else:
-        kind = "mixed"
-    return ScoredRecord(
-        record=record, score=score, failed=tuple(failed), similarity_kind=kind
-    )
-
-
 def columnar_rank_units(
     resources: RankingResources,
     records: list[Record],
@@ -839,24 +785,9 @@ def sharded_rank_units(
     be in the pool, which was gathered earlier); a pool record that
     vanished from its shard makes this function return ``None`` and
     the caller re-scores the live records on the legacy path.
-
-    With ``scatter_mode="process"`` the per-shard scoring runs first
-    on the facade's worker-process pool against the shared-memory
-    segments (:func:`_process_rank`); any pool-side miss — broken
-    workers, an unexportable layout, a stale-epoch handshake that a
-    republish did not settle — falls through to the thread path
-    below, which therefore stays the parity oracle for every answer.
     """
     if not records:
         return RankedPool.of([])
-    pool_getter = getattr(table, "process_pool", None)
-    pool = pool_getter() if pool_getter is not None else None
-    if pool is not None:
-        outcome = _process_rank(pool, resources, table, records, units, top_k)
-        if outcome == "legacy":
-            return None  # pool record vanished: legacy per-record rescore
-        if outcome is not None:
-            return outcome
     stores = resources.shard_column_stores()
     if stores is None:
         return None
@@ -907,56 +838,5 @@ def sharded_rank_units(
         emit,
         scores,
         [record.record_id for record in gathered_records],
-        limit=top_k,
-    )
-
-
-def _process_rank(
-    pool,
-    resources: RankingResources,
-    table: Table,
-    records: list[Record],
-    units: Sequence[ScoringUnit],
-    top_k: int | None,
-):
-    """Scatter the scoring onto the worker-process pool.
-
-    Workers run :func:`_score_rows` / :func:`~repro.ranking.pool.select`
-    against their shared-memory shadow stores — the same kernels, the
-    same floats — and ship back per-shard selections (bounded by *top_k*) as
-    ``(local_index, score, slot_sats)``; the gathered rows back one
-    :class:`~repro.ranking.pool.RankedPool` on the same key as the
-    thread path's.  Returns that pool, ``"legacy"`` when a pool record
-    vanished mid-flight (caller must re-score on the legacy path,
-    matching the thread scatter's contract), or ``None`` for any
-    pool-side miss (caller falls back to threads).
-    """
-    group_ids: list[list[int]] = [[] for _ in table.shards]
-    by_id: dict[int, Record] = {}
-    for record in records:
-        group_ids[table.shard_of(record.record_id)].append(record.record_id)
-        by_id[record.record_id] = record
-    type_i_fp, query_keys = _query_fingerprint(resources, units)
-    outcome = pool.rank(
-        resources, group_ids, units, top_k, type_i_fp, query_keys
-    )
-    if outcome is None or outcome == "legacy":
-        return outcome
-    specs = _slot_specs(units)
-    record_ids: list[int] = []
-    scores: list[float] = []
-    sats: list[tuple] = []
-    for shard_index, selection in enumerate(outcome):
-        ids = group_ids[shard_index]
-        for local, score, slot_sats in selection:
-            record_ids.append(ids[local])
-            scores.append(score)
-            sats.append(slot_sats)
-    return RankedPool(
-        lambda index: _emit_from_sats(
-            by_id[record_ids[index]], scores[index], sats[index], specs
-        ),
-        scores,
-        record_ids,
         limit=top_k,
     )

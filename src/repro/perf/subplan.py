@@ -145,21 +145,7 @@ def _sharded_unit_id_sets(
     facade name, so a sibling shard's mutation never stales them.  The gathered
     union is always a fresh set, so cached per-shard sets stay
     unshared-mutable exactly like the single-table path's.
-
-    With ``scatter_mode="process"`` the cache *misses* are evaluated
-    columnar-ly in the facade's worker-process pool against the
-    shared-memory segments (:func:`_process_unit_id_sets`); hits,
-    keys and accounting are unchanged, and any pool-side miss falls
-    back to the sequential executor path below.
     """
-    pool_getter = getattr(table, "process_pool", None)
-    pool = pool_getter() if pool_getter is not None else None
-    if pool is not None:
-        sets = _process_unit_id_sets(
-            pool, executor, table, shards, units, fragment_cache
-        )
-        if sets is not None:
-            return sets
     builder = QueryBuilder(table.name)
     epochs = [shard.epoch for shard in shards]
     sets: list[set[int]] = []
@@ -187,79 +173,6 @@ def _sharded_unit_id_sets(
                 if fragment_cache is not None:
                     fragment_cache.put(table.name, shard_epoch, unit, ids)
             merged |= ids
-        sets.append(merged)
-    return sets
-
-
-def _process_unit_id_sets(
-    pool,
-    executor: SQLExecutor,
-    table: Table,
-    shards: Sequence[Table],
-    units: Sequence[ScoringUnit],
-    fragment_cache: "FragmentCache | None",
-) -> list[set[int]] | None:
-    """Evaluate the fragment-cache misses on the worker-process pool.
-
-    The workers mirror the executor's leaf semantics columnar-ly
-    against their shared-memory shadows
-    (:meth:`repro.shard.procpool._ShadowStore.unit_id_set`); a unit
-    shape with no columnar mirror is evaluated on the parent executor
-    for that shard, so the merged union is always exact.  Fragment
-    entries are keyed on the pool's *publish* epoch — the segment
-    epoch the sets were computed at, i.e. the shard's own epoch —
-    identical to the sequential path's keying.  ``None`` = pool
-    cannot serve (caller runs the sequential path).
-    """
-    published = pool.publish()
-    if published is None:
-        return None
-    builder = QueryBuilder(table.name)
-    gathered: dict[tuple[int, int], set[int]] = {}  # (unit idx, shard) -> ids
-    requests: dict[int, list[int]] = {}  # shard -> unit indexes to evaluate
-    for unit_index, unit in enumerate(units):
-        for index in range(len(shards)):
-            shard_epoch = (index, published[index][1])
-            ids = (
-                fragment_cache.get(table.name, shard_epoch, unit)
-                if fragment_cache is not None
-                else None
-            )
-            if fragment_cache is not None:
-                cache_event("fragment", ids is not None)
-            if ids is None:
-                requests.setdefault(index, []).append(unit_index)
-            else:
-                gathered[(unit_index, index)] = ids
-    if requests:
-        outcome = pool.unit_ids(units, requests)
-        if outcome is None:
-            return None
-        results, republished = outcome
-        for index, unit_indexes in requests.items():
-            shard_sets = results.get(index)
-            if shard_sets is None or len(shard_sets) != len(unit_indexes):
-                return None
-            shard_epoch = (index, republished[index][1])
-            for position, unit_index in enumerate(unit_indexes):
-                ids = shard_sets[position]
-                if ids is None:
-                    # No columnar mirror for this unit's shape: the
-                    # parent executor evaluates this shard exactly.
-                    expression = unit_expression(builder, units[unit_index])
-                    assert expression is not None
-                    with span("shard.scatter", shard=index, table=table.name):
-                        ids = executor.eval_where(shards[index], expression)
-                if fragment_cache is not None:
-                    fragment_cache.put(
-                        table.name, shard_epoch, units[unit_index], ids
-                    )
-                gathered[(unit_index, index)] = ids
-    sets: list[set[int]] = []
-    for unit_index in range(len(units)):
-        merged: set[int] = set()
-        for index in range(len(shards)):
-            merged |= gathered[(unit_index, index)]
         sets.append(merged)
     return sets
 

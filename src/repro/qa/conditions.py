@@ -110,9 +110,9 @@ class Condition:
 
     def __getstate__(self):
         # str hashes are salted per process (PYTHONHASHSEED), so a
-        # memoized hash must never cross the pickle boundary to a
-        # scatter worker — equal conditions with unequal hashes would
-        # corrupt the worker's memo dicts.
+        # memoized hash must never cross the pickle boundary into
+        # another process — equal conditions with unequal hashes would
+        # corrupt every dict and set keyed on them there.
         state = dict(self.__dict__)
         state.pop("_cached_hash", None)
         return state

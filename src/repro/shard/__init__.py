@@ -16,11 +16,6 @@ domains at N in {1, 2, 4}).
   notifications, scatter-gather reads, a dedicated scatter executor
   for parallel per-shard work, and online shard topology changes
   (``split_shard`` / ``merge_shard`` / ``rebalance``);
-* :mod:`repro.shard.procpool` — the ``scatter_mode="process"`` tier:
-  a persistent worker-process pool scoring shards out of
-  shared-memory column segments with epoch-stamped headers and a
-  stale-generation handshake, thread path retained as the parity
-  oracle and automatic fallback;
 * :mod:`repro.shard.rebalance` — :func:`plan_rebalance` turns the
   per-shard row/latency gauges into a :class:`RebalancePlan` of
   record moves applied under the existing write lock as ordinary
@@ -33,12 +28,12 @@ cache keyed on each shard's own epoch) and per-shard column-store
 ranking with top-k merge in :mod:`repro.perf.colrank`.  Construction
 is wired through ``Database.create_table(shards=...)``,
 ``build_system(shards=...)``, ``SystemBuilder.shards(...)`` and the
-CLI ``--shards`` / ``--scatter-mode``; ``PERFORMANCE.md`` documents
-the merge semantics, the shared-memory layout and the fallback rules.
+CLI ``--shards``; ``PERFORMANCE.md`` documents the merge semantics,
+the rebalancing deltas and how the tier measures against the single
+table on the default configuration.
 """
 
 from repro.shard.partition import HashPartitioner, ModuloPartitioner, Partitioner
-from repro.shard.procpool import ProcessScatterPool, process_scatter_supported
 from repro.shard.rebalance import RebalancePlan, ShardMove, plan_rebalance
 from repro.shard.table import ShardedTable
 
@@ -46,10 +41,8 @@ __all__ = [
     "HashPartitioner",
     "ModuloPartitioner",
     "Partitioner",
-    "ProcessScatterPool",
     "RebalancePlan",
     "ShardMove",
     "ShardedTable",
     "plan_rebalance",
-    "process_scatter_supported",
 ]

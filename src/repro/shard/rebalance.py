@@ -7,7 +7,7 @@ EWMAs behind ``repro_shard_scatter_seconds``).  Applying one
 (:meth:`repro.shard.table.ShardedTable.rebalance`) moves each record
 under the facade's write lock as an ordinary delete + insert, so the
 downstream machinery — fragment caches, window indexes, ranking
-column stores, WAL durability, the process-scatter segments — sees
+column stores, WAL durability — sees
 plain ``RemoveDelta``/``InsertDelta`` events and needs **no new
 invalidation paths**: a moved record is simply removed from one shard
 epoch-stream and inserted into another.

@@ -26,12 +26,7 @@ import pytest
 from repro.datagen.questions import make_generator
 from repro.db.table import InsertDelta, RemoveDelta, Table
 from repro.obs import get_default_registry
-from repro.shard import (
-    ModuloPartitioner,
-    ShardedTable,
-    plan_rebalance,
-    process_scatter_supported,
-)
+from repro.shard import ModuloPartitioner, ShardedTable, plan_rebalance
 from repro.shard.rebalance import RebalancePlan, ShardMove
 from repro.system import build_system
 
@@ -224,21 +219,13 @@ class TestTopology:
 # ----------------------------------------------------------------------
 # the rebalancing storm (acceptance bar)
 # ----------------------------------------------------------------------
-STORM_MODES = ["thread"] + (
-    ["process"] if process_scatter_supported() else []
-)
-
-
-@pytest.mark.parametrize("scatter_mode", STORM_MODES)
-def test_randomized_rebalancing_storm_matches_oracle(scatter_mode):
+def test_randomized_rebalancing_storm_matches_oracle():
     """A seeded interleave of mutations, splits, merges and rebalances:
     answers stay bit-identical to an unsharded oracle fed the same
     mutations, and deleted records never resurrect from stale caches."""
     rng = random.Random(20260808)
     single = build_system(["cars"], **SYSTEM_SCALE)
-    sharded = build_system(
-        ["cars"], shards=3, scatter_mode=scatter_mode, **SYSTEM_SCALE
-    )
+    sharded = build_system(["cars"], shards=3, **SYSTEM_SCALE)
     oracle_table = single.database.table("car_ads")
     storm_table = sharded.database.table("car_ads")
 
@@ -348,9 +335,6 @@ def test_randomized_rebalancing_storm_matches_oracle(scatter_mode):
             len(storm_table.shards[index]) == 0
             for index in storm_table.retired_shards
         )
-        if scatter_mode == "process":
-            pool = storm_table.process_pool()
-            assert pool is None or not pool.broken
     finally:
         sharded.close()
         single.close()

@@ -21,6 +21,7 @@ Four layers:
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
@@ -655,6 +656,25 @@ class TestWiring:
 
         with pytest.raises(ValueError):
             CQAds(Database(), shards=0)
+
+    def test_env_override_sizes_scatter_workers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCATTER_WORKERS", "3")
+        table = ShardedTable(small_car_schema(), 8)
+        assert table.scatter_workers == 3
+        table.close()
+        # Still capped by the shard count.
+        table = ShardedTable(small_car_schema(), 2)
+        assert table.scatter_workers == 2
+        table.close()
+        # An explicit argument wins over the environment.
+        table = ShardedTable(small_car_schema(), 8, scatter_workers=5)
+        assert table.scatter_workers == 5
+        table.close()
+        # Garbage values fall back to the cpu-count default.
+        monkeypatch.setenv("REPRO_SCATTER_WORKERS", "banana")
+        table = ShardedTable(small_car_schema(), 8)
+        assert table.scatter_workers == min(8, os.cpu_count() or 1)
+        table.close()
 
     def test_cli_parses_and_forwards_shards(self, monkeypatch):
         import repro.__main__ as cli
